@@ -12,16 +12,14 @@ from .core import (
     Kitchen,
     MotionNode,
     ObjectKey,
-    ObjectNode,
     SearchStats,
     TaskTree,
     find_candidate_units,
     index_outputs,
-    object_key,
     validate_task_tree,
 )
 from .export import to_dot, write_task_tree
-from .merge import MergeResult, merge_subgraphs, unit_equals
+from .merge import MergeResult, merge_subgraphs
 from .oracle import TooLarge, enumerate_resolutions, minimal_depth, minimal_units
 from .parser import (
     MotionRateTable,
@@ -62,7 +60,6 @@ __all__ = [
     "MotionNode",
     "MotionRateTable",
     "ObjectKey",
-    "ObjectNode",
     "ParseError",
     "ParseWarning",
     "SchemaError",
@@ -79,7 +76,6 @@ __all__ = [
     "merge_subgraphs",
     "minimal_depth",
     "minimal_units",
-    "object_key",
     "parse_goal_nodes",
     "parse_kitchen",
     "parse_motion_rates",
@@ -87,7 +83,6 @@ __all__ = [
     "retrieve_gbfs",
     "retrieve_ids",
     "to_dot",
-    "unit_equals",
     "validate_task_tree",
     "write_subgraph",
     "write_task_tree",

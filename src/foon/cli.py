@@ -55,6 +55,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _fail(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        _fail(f"cannot read {path}: not UTF-8 (byte {exc.start})")
 
 
 def _load_graph(path: str):
@@ -162,6 +164,9 @@ def _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle):
                     "minimal_depth": oracle_mod.minimal_depth(graph, kitchen, goal),
                 }
             except UnresolvableGoal:
+                oracle_cols = {"minimal_units": "", "minimal_depth": ""}
+            except oracle_mod.TooLarge as exc:
+                click.echo(f"{goal.target}: oracle skipped ({exc})", err=True)
                 oracle_cols = {"minimal_units": "", "minimal_depth": ""}
         for algo in ALGOS:
             row = {"goal": str(goal.target), "algorithm": algo}

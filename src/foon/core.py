@@ -1,6 +1,10 @@
 """Domain types for FOON graphs: objects, motions, functional units, and the
 indexed universal graph.
 
+An object has one type, :class:`ObjectKey`, which canonicalizes its fields
+and is its own identity: a unit's ``inputs`` and ``outputs`` are tuples of
+keys, and graph indexes, kitchens and goals hold the same keys.
+
 Everything here is immutable after construction and hashable where identity
 matters, so graphs and kitchens can be shared freely between concurrent
 retrievals.
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import total_ordering
 from typing import Iterable, Optional, Sequence
 
 
@@ -22,35 +27,18 @@ class DuplicateUnit(FoonError):
     expected."""
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class ObjectKey:
-    """Canonical identity of an object: name, sorted states, sorted ingredients.
+    """An object: its name, state set and ingredient list, canonicalized.
 
-    Two object nodes denote the same kitchen item iff their keys are equal.
+    The constructor trims and lowercases every field, deduplicates and sorts
+    the states, and sorts the ingredients (duplicates kept -- multiset
+    semantics). Two objects denote the same kitchen item iff their keys are
+    equal. Keys order as their ``(name, states, ingredients)`` tuples, and
+    the hash is computed once, at construction.
     """
 
-    name: str
-    states: tuple[str, ...]
-    ingredients: tuple[str, ...]
-
-    def __str__(self) -> str:
-        parts = self.name
-        if self.states:
-            parts += "{" + ",".join(self.states) + "}"
-        if self.ingredients:
-            parts += "[" + ",".join(self.ingredients) + "]"
-        return parts
-
-
-class ObjectNode:
-    """An object with its state set and ingredient list.
-
-    The constructor canonicalizes: the name is trimmed and lowercased, states
-    are deduplicated and sorted, ingredients are sorted (duplicates kept --
-    multiset semantics).
-    """
-
-    __slots__ = ("name", "states", "ingredients")
+    __slots__ = ("name", "states", "ingredients", "_hash")
 
     def __init__(
         self,
@@ -61,32 +49,45 @@ class ObjectNode:
         name = name.strip().lower()
         if not name:
             raise ValueError("object name must be non-empty")
+        states = tuple(sorted({s.strip().lower() for s in states if s.strip()}))
+        ingredients = tuple(sorted(i.strip().lower() for i in ingredients if i.strip()))
         object.__setattr__(self, "name", name)
-        object.__setattr__(
-            self, "states", tuple(sorted({s.strip().lower() for s in states if s.strip()}))
-        )
-        object.__setattr__(
-            self, "ingredients", tuple(sorted(i.strip().lower() for i in ingredients if i.strip()))
-        )
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "ingredients", ingredients)
+        object.__setattr__(self, "_hash", hash((name, states, ingredients)))
 
     def __setattr__(self, *_):
-        raise AttributeError("ObjectNode is immutable")
+        raise AttributeError("ObjectKey is immutable")
 
-    def __repr__(self) -> str:
-        return f"ObjectNode({self.name!r}, states={list(self.states)}, ingredients={list(self.ingredients)})"
+    def __delattr__(self, *_):
+        raise AttributeError("ObjectKey is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.name, self.states, self.ingredients)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ObjectNode):
+        if not isinstance(other, ObjectKey):
             return NotImplemented
-        return object_key(self) == object_key(other)
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __lt__(self, other) -> bool:
+        if not isinstance(other, ObjectKey):
+            return NotImplemented
+        return self._fields() < other._fields()
 
     def __hash__(self) -> int:
-        return hash(object_key(self))
+        return self._hash
 
+    def __repr__(self) -> str:
+        return f"ObjectKey({self.name!r}, states={list(self.states)}, ingredients={list(self.ingredients)})"
 
-def object_key(node: ObjectNode) -> ObjectKey:
-    """Derive the canonical :class:`ObjectKey` for an object node."""
-    return ObjectKey(node.name, node.states, node.ingredients)
+    def __str__(self) -> str:
+        parts = self.name
+        if self.states:
+            parts += "{" + ",".join(self.states) + "}"
+        if self.ingredients:
+            parts += "[" + ",".join(self.ingredients) + "]"
+        return parts
 
 
 @dataclass(frozen=True)
@@ -116,16 +117,16 @@ class FunctionalUnit:
     """Input objects + one motion + output objects; the atom of FOON knowledge.
 
     Equality compares input/output key multisets and the motion name;
-    timestamps are ignored.
+    timestamps are ignored. The hash is computed once, at construction.
     """
 
-    __slots__ = ("inputs", "motion", "outputs")
+    __slots__ = ("inputs", "motion", "outputs", "_hash")
 
     def __init__(
         self,
-        inputs: Sequence[ObjectNode],
+        inputs: Sequence[ObjectKey],
         motion: MotionNode,
-        outputs: Sequence[ObjectNode],
+        outputs: Sequence[ObjectKey],
     ):
         if not inputs:
             raise ValueError("functional unit needs at least one input")
@@ -134,34 +135,27 @@ class FunctionalUnit:
         object.__setattr__(self, "inputs", tuple(inputs))
         object.__setattr__(self, "motion", motion)
         object.__setattr__(self, "outputs", tuple(outputs))
+        # only the hash is kept: storing the sorted identity as well costs
+        # memory on every unit, and it is needed only on a hash match
+        object.__setattr__(self, "_hash", hash(self._identity()))
 
     def __setattr__(self, *_):
         raise AttributeError("FunctionalUnit is immutable")
 
-    def input_keys(self) -> tuple[ObjectKey, ...]:
-        return tuple(object_key(o) for o in self.inputs)
-
-    def output_keys(self) -> tuple[ObjectKey, ...]:
-        return tuple(object_key(o) for o in self.outputs)
-
     def _identity(self) -> tuple:
-        return (
-            tuple(sorted(self.input_keys())),
-            self.motion.name,
-            tuple(sorted(self.output_keys())),
-        )
+        return (tuple(sorted(self.inputs)), self.motion.name, tuple(sorted(self.outputs)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctionalUnit):
             return NotImplemented
-        return self._identity() == other._identity()
+        return self._hash == other._hash and self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self._identity())
+        return self._hash
 
     def __repr__(self) -> str:
-        ins = ", ".join(str(k) for k in self.input_keys())
-        outs = ", ".join(str(k) for k in self.output_keys())
+        ins = ", ".join(str(k) for k in self.inputs)
+        outs = ", ".join(str(k) for k in self.outputs)
         return f"<FunctionalUnit [{ins}] -{self.motion.name}-> [{outs}]>"
 
 
@@ -198,7 +192,7 @@ def index_outputs(units: Sequence[FunctionalUnit]) -> FoonGraph:
         if unit in seen:
             raise DuplicateUnit(f"unit {pos} duplicates an earlier unit: {unit!r}")
         seen.add(unit)
-        for key in unit.output_keys():
+        for key in unit.outputs:
             index.setdefault(key, []).append(pos)
     return FoonGraph(units, {k: tuple(v) for k, v in index.items()})
 
@@ -286,14 +280,14 @@ def validate_task_tree(
     available = set(kitchen.items)
     for pos in tree.steps:
         unit = graph.units[pos]
-        for key in unit.input_keys():
+        for key in unit.inputs:
             if key not in available:
                 raise ValueError(f"step {pos} needs {key} which is not available")
-        available.update(unit.output_keys())
+        available.update(unit.outputs)
     if not tree.steps:
         if goal.target not in kitchen:
             raise ValueError("empty task tree but goal not in kitchen")
     else:
         final = graph.units[tree.steps[-1]]
-        if goal.target not in final.output_keys():
+        if goal.target not in final.outputs:
             raise ValueError("final step does not produce the goal")

@@ -47,8 +47,8 @@ def to_dot(graph: FoonGraph, tree: Optional[TaskTree] = None) -> str:
     output_keys: set[ObjectKey] = set()
     for pos in positions:
         unit = graph.units[pos]
-        input_keys.update(unit.input_keys())
-        output_keys.update(unit.output_keys())
+        input_keys.update(unit.inputs)
+        output_keys.update(unit.outputs)
 
     def object_color(key: ObjectKey) -> str:
         if key in input_keys and key in output_keys:
@@ -58,11 +58,7 @@ def to_dot(graph: FoonGraph, tree: Optional[TaskTree] = None) -> str:
         return OUTPUT_COLOR
 
     lines = ["digraph foon {"]
-    emitted: set[ObjectKey] = set()
     for key in sorted(input_keys | output_keys):
-        if key in emitted:
-            continue
-        emitted.add(key)
         lines.append(
             f"  {_key_id(key)} [label={_quote(str(key))} shape=ellipse color={object_color(key)}];"
         )
@@ -72,9 +68,9 @@ def to_dot(graph: FoonGraph, tree: Optional[TaskTree] = None) -> str:
         lines.append(
             f"  {motion_id} [label={_quote(unit.motion.name)} shape=square color={MOTION_COLOR}];"
         )
-        for key in unit.input_keys():
+        for key in unit.inputs:
             lines.append(f"  {_key_id(key)} -> {motion_id};")
-        for key in unit.output_keys():
+        for key in unit.outputs:
             lines.append(f"  {motion_id} -> {_key_id(key)};")
     lines.append("}")
     return "".join(line + "\n" for line in lines)

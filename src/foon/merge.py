@@ -8,12 +8,6 @@ from typing import Sequence
 from .core import FoonGraph, FunctionalUnit, index_outputs
 
 
-def unit_equals(a: FunctionalUnit, b: FunctionalUnit) -> bool:
-    """True iff the units carry the same knowledge: equal input key multisets,
-    motion name, and output key multisets. Motion timestamps are ignored."""
-    return a == b
-
-
 @dataclass(frozen=True)
 class MergeResult:
     graph: FoonGraph

@@ -58,7 +58,7 @@ def enumerate_resolutions(
         if key in kitchen:
             return 0
         unit = graph.units[producer[key]]
-        return 1 + max(depth_of(ikey, producer) for ikey in unit.input_keys())
+        return 1 + max(depth_of(ikey, producer) for ikey in unit.inputs)
 
     def expand(pending: list[ObjectKey], producer: dict, path_stack: list[frozenset]):
         # pending holds (key, path) pairs flattened as parallel stacks
@@ -75,16 +75,15 @@ def enumerate_resolutions(
             return
         new_path = path | {key}
         for pos in find_candidate_units(graph, key):
-            unit = graph.units[pos]
-            input_keys = unit.input_keys()
-            if any(ikey in new_path for ikey in input_keys):
+            inputs = graph.units[pos].inputs
+            if any(ikey in new_path for ikey in inputs):
                 continue
             next_producer = dict(producer)
             next_producer[key] = pos
             if len(set(next_producer.values())) > max_units:
                 continue
-            next_pending = pending[:-1] + list(input_keys)
-            next_paths = path_stack[:-1] + [new_path] * len(input_keys)
+            next_pending = pending[:-1] + list(inputs)
+            next_paths = path_stack[:-1] + [new_path] * len(inputs)
             expand(next_pending, next_producer, next_paths)
 
     if goal.target in kitchen:

@@ -25,8 +25,7 @@ from .core import (
     GoalSpec,
     Kitchen,
     MotionNode,
-    ObjectNode,
-    object_key,
+    ObjectKey,
 )
 
 
@@ -68,19 +67,20 @@ def parse_subgraph(text: str) -> list[FunctionalUnit]:
     units: list[FunctionalUnit] = []
 
     # per-unit parse state
-    inputs: list[ObjectNode] = []
-    outputs: list[ObjectNode] = []
+    inputs: list[ObjectKey] = []
+    outputs: list[ObjectKey] = []
     motion: MotionNode | None = None
-    current: dict | None = None  # name/states/ingredients of the open object
+    name: str | None = None  # the open object, with its states and ingredients
+    states: list[str] = []
+    ingredients: list[str] = []
     unit_open = False
     last_line_no = 0
 
     def close_object():
-        nonlocal current
-        if current is not None:
-            node = ObjectNode(current["name"], current["states"], current["ingredients"])
-            (outputs if motion is not None else inputs).append(node)
-            current = None
+        nonlocal name
+        if name is not None:
+            (outputs if motion is not None else inputs).append(ObjectKey(name, states, ingredients))
+            name = None
 
     def close_unit(line_no: int):
         nonlocal inputs, outputs, motion, unit_open
@@ -109,19 +109,19 @@ def parse_subgraph(text: str) -> list[FunctionalUnit]:
                 raise ParseError(line_no, "O line needs exactly one name field")
             close_object()
             unit_open = True
-            current = {"name": fields[1], "states": [], "ingredients": []}
+            name, states, ingredients = fields[1], [], []
         elif tag == "S":
-            if current is None:
+            if name is None:
                 raise ParseError(line_no, "S line without a preceding O line")
             if len(fields) != 2 or not fields[1].strip():
                 raise ParseError(line_no, "S line needs exactly one state field")
-            current["states"].append(fields[1])
+            states.append(fields[1])
         elif tag == "I":
-            if current is None:
+            if name is None:
                 raise ParseError(line_no, "I line without a preceding O line")
             if len(fields) != 2 or not fields[1].strip():
                 raise ParseError(line_no, "I line needs exactly one ingredient field")
-            current["ingredients"].append(fields[1])
+            ingredients.append(fields[1])
         elif tag == "M":
             if not unit_open:
                 raise ParseError(line_no, "M line before any object in the unit")
@@ -138,7 +138,7 @@ def parse_subgraph(text: str) -> list[FunctionalUnit]:
         else:
             raise ParseError(line_no, f"unknown line tag {tag!r}")
 
-    if unit_open or current is not None or motion is not None:
+    if unit_open or name is not None or motion is not None:
         raise ParseError(last_line_no + 1, "unexpected end of file: unit missing '//' terminator")
     return units
 
@@ -147,24 +147,24 @@ def write_subgraph(units: Sequence[FunctionalUnit]) -> str:
     """Serialize units to the subgraph format; inverse of :func:`parse_subgraph`."""
     lines: list[str] = []
 
-    def emit_object(node: ObjectNode):
-        lines.append(f"O\t{node.name}")
-        for state in node.states:
+    def emit_object(key: ObjectKey):
+        lines.append(f"O\t{key.name}")
+        for state in key.states:
             lines.append(f"S\t{state}")
-        for ingredient in node.ingredients:
+        for ingredient in key.ingredients:
             lines.append(f"I\t{ingredient}")
 
     for unit in units:
-        for node in unit.inputs:
-            emit_object(node)
+        for key in unit.inputs:
+            emit_object(key)
         motion_line = f"M\t{unit.motion.name}"
         if unit.motion.start_time is not None:
             motion_line += f"\t{unit.motion.start_time}"
             if unit.motion.end_time is not None:
                 motion_line += f"\t{unit.motion.end_time}"
         lines.append(motion_line)
-        for node in unit.outputs:
-            emit_object(node)
+        for key in unit.outputs:
+            emit_object(key)
         lines.append("//")
     return "".join(line + "\n" for line in lines)
 
@@ -194,14 +194,14 @@ def parse_motion_rates(text: str) -> MotionRateTable:
     return MotionRateTable(rates)
 
 
-def _parse_object_entries(text: str) -> list[ObjectNode]:
+def _parse_object_entries(text: str) -> list[ObjectKey]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(data, list):
         raise SchemaError("<root>", "expected a JSON array")
-    nodes = []
+    keys = []
     for pos, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise SchemaError(f"[{pos}]", "expected an object")
@@ -215,21 +215,20 @@ def _parse_object_entries(text: str) -> list[ObjectNode]:
         for field_name, value in (("states", states), ("ingredients", ingredients)):
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise SchemaError(field_name, f"must be a list of strings in entry {pos}")
-        nodes.append(ObjectNode(name, states, ingredients))
-    return nodes
+        keys.append(ObjectKey(name, states, ingredients))
+    return keys
 
 
 def parse_goal_nodes(text: str) -> list[GoalSpec]:
     """Parse ``goal_nodes.json`` into goal specs, in file order."""
-    return [GoalSpec(object_key(node)) for node in _parse_object_entries(text)]
+    return [GoalSpec(key) for key in _parse_object_entries(text)]
 
 
 def parse_kitchen(text: str) -> Kitchen:
     """Parse ``kitchen.json``; duplicate items collapse with a warning."""
     keys = []
     seen = set()
-    for node in _parse_object_entries(text):
-        key = object_key(node)
+    for key in _parse_object_entries(text):
         if key in seen:
             warnings.warn(ParseWarning(f"duplicate kitchen item {key} collapsed"))
             continue

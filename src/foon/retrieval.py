@@ -72,7 +72,7 @@ def heuristic_success_rate(unit: FunctionalUnit, rates: MotionRateTable) -> floa
 
 def heuristic_input_count(unit: FunctionalUnit) -> int:
     """Number of input objects plus their ingredient counts."""
-    return len(unit.inputs) + sum(len(node.ingredients) for node in unit.inputs)
+    return len(unit.inputs) + sum(len(key.ingredients) for key in unit.inputs)
 
 
 def execution_order(
@@ -94,7 +94,7 @@ def execution_order(
             (
                 pos
                 for pos in remaining
-                if all(key in available for key in graph.units[pos].input_keys())
+                if all(key in available for key in graph.units[pos].inputs)
             ),
             None,
         )
@@ -104,7 +104,7 @@ def execution_order(
             )
         steps.append(ready)
         remaining.remove(ready)
-        available.update(graph.units[ready].output_keys())
+        available.update(graph.units[ready].outputs)
     return tuple(steps)
 
 
@@ -164,7 +164,7 @@ def retrieve_ids(
                 hit_bound = True
                 return False
             unit = graph.units[resolution.producer[key]]
-            return all(verify(ikey, level + 1) for ikey in unit.input_keys())
+            return all(verify(ikey, level + 1) for ikey in unit.inputs)
 
         def resolve(key: ObjectKey, level: int, path: frozenset) -> bool:
             nonlocal hit_bound
@@ -179,14 +179,13 @@ def retrieve_ids(
             path = path | {key}
             for pos in candidates:
                 stats.candidate_evaluations += 1
-                unit = graph.units[pos]
-                input_keys = unit.input_keys()
-                if any(ikey in path for ikey in input_keys):
+                inputs = graph.units[pos].inputs
+                if any(ikey in path for ikey in inputs):
                     continue  # would revisit the active path
                 stats.units_expanded += 1
                 mark = resolution.mark()
                 resolution.assign(key, pos)
-                if all(resolve(ikey, level + 1, path) for ikey in input_keys):
+                if all(resolve(ikey, level + 1, path) for ikey in inputs):
                     return True
                 resolution.rollback(mark)
             return False
@@ -239,7 +238,7 @@ def retrieve_gbfs(
         alive = [
             pos
             for pos in find_candidate_units(graph, key)
-            if not any(ikey in path for ikey in graph.units[pos].input_keys())
+            if not any(ikey in path for ikey in graph.units[pos].inputs)
         ]
         scores = {pos: score(graph.units[pos]) for pos in alive}
         while alive:
@@ -255,7 +254,7 @@ def retrieve_gbfs(
             stats.units_expanded += 1
             mark = resolution.mark()
             resolution.assign(key, best)
-            if all(resolve(ikey, path) for ikey in graph.units[best].input_keys()):
+            if all(resolve(ikey, path) for ikey in graph.units[best].inputs):
                 return True
             resolution.rollback(mark)
             alive.remove(best)

@@ -13,24 +13,23 @@ from foon.core import (
     GoalSpec,
     Kitchen,
     MotionNode,
-    ObjectNode,
+    ObjectKey,
     index_outputs,
-    object_key,
 )
 from foon.parser import MotionRateTable
 
 
 def obj(name, states=(), ingredients=()):
-    return ObjectNode(name, states, ingredients)
+    return ObjectKey(name, states, ingredients)
 
 
 def key_of(name, states=(), ingredients=()):
-    return object_key(obj(name, states, ingredients))
+    return obj(name, states, ingredients)
 
 
 def unit(inputs, motion, outputs, ts=None):
-    nodes_in = [o if isinstance(o, ObjectNode) else obj(o) for o in inputs]
-    nodes_out = [o if isinstance(o, ObjectNode) else obj(o) for o in outputs]
+    nodes_in = [o if isinstance(o, ObjectKey) else obj(o) for o in inputs]
+    nodes_out = [o if isinstance(o, ObjectKey) else obj(o) for o in outputs]
     start, end = (ts or (None, None))
     return FunctionalUnit(nodes_in, MotionNode(motion, start, end), nodes_out)
 
@@ -95,7 +94,7 @@ def _assignment_depth(graph, kitchen, producer, goal_key):
         unit_pos = producer[key]
         nested = on_stack | {key}
         return 1 + max(
-            depth(ikey, nested) for ikey in graph.units[unit_pos].input_keys()
+            depth(ikey, nested) for ikey in graph.units[unit_pos].inputs
         )
 
     try:
@@ -143,9 +142,9 @@ def _all_assignments(graph, kitchen, goal_key, allowed):
             return
         key = pending[-1]
         for pos in allowed:
-            if key in graph.units[pos].output_keys():
+            if key in graph.units[pos].outputs:
                 producer[key] = pos
-                rec(pending[:-1] + list(graph.units[pos].input_keys()), producer)
+                rec(pending[:-1] + list(graph.units[pos].inputs), producer)
                 del producer[key]
 
     rec([goal_key], {})

@@ -1,3 +1,4 @@
+import json
 import shutil
 
 import pytest
@@ -5,6 +6,8 @@ from click.testing import CliRunner
 
 from foon.cli import main
 from foon.data import corpus_file, subgraph_paths
+from foon.parser import write_subgraph
+from helpers import chain_graph
 
 
 @pytest.fixture()
@@ -150,6 +153,27 @@ def test_compare_with_oracle_columns(runner, universal, corpus_paths):
     assert header.endswith("resolved,minimal_units,minimal_depth")
 
 
+def test_compare_with_oracle_too_large_leaves_columns_blank(runner, tmp_path):
+    graph, kitchen, goal = chain_graph(12)  # 24 units: past the oracle's guard
+    universal = tmp_path / "chain.foon.txt"
+    universal.write_text(write_subgraph(graph.units))
+    kitchen_file = tmp_path / "kitchen.json"
+    kitchen_file.write_text(json.dumps([{"object": key.name} for key in kitchen.items]))
+    goals_file = tmp_path / "goals.json"
+    goals_file.write_text(json.dumps([{"object": goal.target.name}]))
+    result = runner.invoke(
+        main,
+        ["compare", str(universal), str(kitchen_file), str(goals_file),
+         "--with-oracle", "--format", "csv"],
+    )
+    assert result.exit_code == 0, result.output
+    rows = result.stdout.splitlines()
+    assert rows[0].endswith("resolved,minimal_units,minimal_depth")
+    assert len(rows) == 4
+    assert all(row.endswith(",true,,") for row in rows[1:])
+    assert result.stderr.count("g0: oracle skipped") == 1
+
+
 def test_compare_empty_goals_header_only(runner, universal, corpus_paths, tmp_path):
     goals = tmp_path / "goals.json"
     goals.write_text("[]")
@@ -203,3 +227,11 @@ def test_viz_malformed_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["viz", str(bad), "-o", str(tmp_path / "x.dot")])
     assert result.exit_code == 2
     assert "line 3" in result.output
+
+
+def test_viz_non_utf8_file_exits_2(runner, tmp_path):
+    bad = tmp_path / "bad.foon.txt"
+    bad.write_bytes(b"O\tcr\xe9me\nM\twhip\nO\tcream\n//\n")
+    result = runner.invoke(main, ["viz", str(bad), "-o", str(tmp_path / "x.dot")])
+    assert result.exit_code == 2
+    assert "bad.foon.txt" in result.output

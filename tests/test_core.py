@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from foon.core import (
     DuplicateUnit,
     MotionNode,
-    ObjectNode,
     find_candidate_units,
     index_outputs,
-    object_key,
 )
 from helpers import build_graph, key_of, obj, unit
 
@@ -17,19 +15,19 @@ STATES = ["raw", "whipped", "sliced", "mixed", "in [bowl]", "dirty", "empty"]
 
 
 def test_object_key_identity():
-    assert object_key(obj("cream", ["whipped"])) == key_of("cream", ["whipped"])
+    assert obj("cream", ["whipped"]) == key_of("cream", ["whipped"])
 
 
 def test_object_key_ingredient_order_insensitive():
     a = obj("salad", ["mixed"], ["feta", "tomato"])
     b = obj("salad", ["mixed"], ["tomato", "feta"])
-    assert object_key(a) == object_key(b)
+    assert a == b
 
 
 def test_object_key_state_order_insensitive():
     a = obj("cream", ["whipped", "in [bowl]"])
     b = obj("cream", ["in [bowl]", "whipped"])
-    assert object_key(a) == object_key(b)
+    assert a == b
 
 
 def test_name_canonicalized():
@@ -77,7 +75,7 @@ def test_key_permutation_invariance(states, ingredients, seed):
     shuffled_ingredients = list(ingredients)
     seed.shuffle(shuffled_states)
     seed.shuffle(shuffled_ingredients)
-    assert object_key(obj("thing", states, ingredients)) == object_key(
+    assert obj("thing", states, ingredients) == (
         obj("thing", shuffled_states, shuffled_ingredients)
     )
 
@@ -126,7 +124,7 @@ def test_find_candidates_sparse_positions():
     graph = build_graph(specs)
     # verified by scanning outputs directly
     expect = tuple(
-        pos for pos, u in enumerate(graph.units) if key_of("k") in u.output_keys()
+        pos for pos, u in enumerate(graph.units) if key_of("k") in u.outputs
     )
     assert expect == (2, 5)
     assert find_candidate_units(graph, key_of("k")) == (2, 5)
@@ -134,11 +132,11 @@ def test_find_candidates_sparse_positions():
 
 def test_index_sound_and_complete(corpus_graph):
     for pos, u in enumerate(corpus_graph.units):
-        for out in u.output_keys():
+        for out in u.outputs:
             assert pos in find_candidate_units(corpus_graph, out)
     for key, positions in corpus_graph.output_index.items():
         for pos in positions:
-            assert key in corpus_graph.units[pos].output_keys()
+            assert key in corpus_graph.units[pos].outputs
 
 
 def test_whipped_cream_produced_only_by_whip(corpus_graph):
@@ -146,7 +144,7 @@ def test_whipped_cream_produced_only_by_whip(corpus_graph):
     brute = [
         pos
         for pos, u in enumerate(corpus_graph.units)
-        if goal in u.output_keys()
+        if goal in u.outputs
     ]
     candidates = find_candidate_units(corpus_graph, goal)
     assert tuple(brute) == candidates

@@ -1,23 +1,23 @@
 import itertools
 
-from foon.merge import merge_subgraphs, unit_equals
+from foon.merge import merge_subgraphs
 from helpers import key_of, unit
 
 
 def test_unit_equals_reflexive():
     u = unit(["cream"], "whip", ["whipped cream"])
-    assert unit_equals(u, u)
+    assert u == u
 
 
 def test_unit_equals_ignores_timestamps():
     a = unit(["cream"], "whip", ["whipped cream"], ts=("3:05", "3:20"))
     b = unit(["cream"], "whip", ["whipped cream"], ts=("9:00", None))
-    assert unit_equals(a, b)
+    assert a == b
 
 
 def test_unit_equals_different_motion():
-    assert not unit_equals(
-        unit(["cream"], "whip", ["x"]), unit(["cream"], "pour", ["x"])
+    assert not (
+        unit(["cream"], "whip", ["x"]) == unit(["cream"], "pour", ["x"])
     )
 
 
@@ -40,7 +40,7 @@ def test_merge_shares_cut_tomato_unit(corpus_subgraphs):
     whipped_cream, greek_salad, _ = corpus_subgraphs
     shared = [u for u in whipped_cream if u in greek_salad]
     assert len(shared) == 1  # the cut-tomato step appears in both recipes
-    assert key_of("tomato", ["sliced"]) in shared[0].output_keys()
+    assert key_of("tomato", ["sliced"]) in shared[0].outputs
     result = merge_subgraphs([whipped_cream, greek_salad])
     assert result.kept == len(whipped_cream) + len(greek_salad) - 1
     assert result.dropped == 1
@@ -55,7 +55,7 @@ def test_merge_order_insensitive_at_set_level(corpus_subgraphs):
 def test_merge_result_has_no_equal_pair(corpus_graph):
     units = corpus_graph.units
     for a, b in itertools.combinations(units, 2):
-        assert not unit_equals(a, b)
+        assert not a == b
 
 
 def test_first_occurrence_wins():

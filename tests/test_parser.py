@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foon.core import FunctionalUnit, MotionNode, ObjectNode
+from foon.core import FunctionalUnit, MotionNode, ObjectKey
 from foon.data import corpus_file, subgraph_paths
 from foon.parser import (
     ParseError,
@@ -30,8 +30,8 @@ def test_parse_one_unit():
     units = parse_subgraph(ONE_UNIT)
     assert len(units) == 1
     (u,) = units
-    assert u.input_keys() == (key_of("cream", ["raw"]),)
-    assert u.output_keys() == (key_of("cream", ["whipped"]),)
+    assert u.inputs == (key_of("cream", ["raw"]),)
+    assert u.outputs == (key_of("cream", ["whipped"]),)
     assert u.motion.name == "whip"
     assert u.motion.start_time == "3:05"
     assert u.motion.end_time == "3:20"
@@ -85,7 +85,7 @@ timestamps = st.none() | st.sampled_from(["0:05", "1:12", "13:59"])
 
 @st.composite
 def object_nodes(draw):
-    return ObjectNode(draw(names), draw(states), draw(ingredients))
+    return ObjectKey(draw(names), draw(states), draw(ingredients))
 
 
 @st.composite
