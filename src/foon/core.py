@@ -3,7 +3,9 @@ indexed universal graph.
 
 An object has one type, :class:`ObjectKey`, which canonicalizes its fields
 and is its own identity: a unit's ``inputs`` and ``outputs`` are tuples of
-keys, and graph indexes, kitchens and goals hold the same keys.
+keys, and graph indexes, kitchens and goals hold the same keys. Keys are
+interned, so there is one instance per distinct key in a process and every
+dict or set lookup on a key matches on identity; equality stays field-based.
 
 Everything here is immutable after construction and hashable where identity
 matters, so graphs and kitchens can be shared freely between concurrent
@@ -12,6 +14,7 @@ retrievals.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import total_ordering
@@ -36,12 +39,21 @@ class ObjectKey:
     semantics). Two objects denote the same kitchen item iff their keys are
     equal. Keys order as their ``(name, states, ingredients)`` tuples, and
     the hash is computed once, at construction.
+
+    Keys are interned: constructing a key equal to a live one returns that
+    instance, so identity implies equality. Equality is still decided by the
+    fields, so two equal instances (say, from constructors racing in two
+    threads) compare equal all the same.
     """
 
-    __slots__ = ("name", "states", "ingredients", "_hash")
+    __slots__ = ("name", "states", "ingredients", "_hash", "__weakref__")
 
-    def __init__(
-        self,
+    # canonical (name, states, ingredients) -> the live key for it; weak, so
+    # a key nothing else references is dropped
+    _interned: "weakref.WeakValueDictionary[tuple, ObjectKey]" = weakref.WeakValueDictionary()
+
+    def __new__(
+        cls,
         name: str,
         states: Iterable[str] = (),
         ingredients: Iterable[str] = (),
@@ -51,10 +63,19 @@ class ObjectKey:
             raise ValueError("object name must be non-empty")
         states = tuple(sorted({s.strip().lower() for s in states if s.strip()}))
         ingredients = tuple(sorted(i.strip().lower() for i in ingredients if i.strip()))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "ingredients", ingredients)
-        object.__setattr__(self, "_hash", hash((name, states, ingredients)))
+        fields = (name, states, ingredients)
+        key = cls._interned.get(fields)
+        if key is None:
+            key = object.__new__(cls)
+            object.__setattr__(key, "name", name)
+            object.__setattr__(key, "states", states)
+            object.__setattr__(key, "ingredients", ingredients)
+            object.__setattr__(key, "_hash", hash(fields))
+            cls._interned[fields] = key
+        return key
+
+    def __reduce__(self):
+        return (ObjectKey, self._fields())
 
     def __setattr__(self, *_):
         raise AttributeError("ObjectKey is immutable")
@@ -142,6 +163,9 @@ class FunctionalUnit:
     def __setattr__(self, *_):
         raise AttributeError("FunctionalUnit is immutable")
 
+    def __reduce__(self):
+        return (FunctionalUnit, (self.inputs, self.motion, self.outputs))
+
     def _identity(self) -> tuple:
         return (tuple(sorted(self.inputs)), self.motion.name, tuple(sorted(self.outputs)))
 
@@ -175,6 +199,9 @@ class FoonGraph:
 
     def __setattr__(self, *_):
         raise AttributeError("FoonGraph is immutable")
+
+    def __reduce__(self):
+        return (FoonGraph, (self.units, self.output_index))
 
     def __len__(self) -> int:
         return len(self.units)

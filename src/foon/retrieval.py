@@ -20,6 +20,7 @@ computed once.
 
 from __future__ import annotations
 
+import heapq
 from enum import Enum
 
 from .core import (
@@ -84,27 +85,42 @@ def execution_order(
     """Linearize a complete resolution into an executable step order.
 
     Repeatedly emits the lowest-index unit whose inputs are all available;
-    raises :class:`CyclicResolution` when it gets stuck.
+    raises :class:`CyclicResolution` when it gets stuck. This is Kahn's
+    algorithm with a min-heap of ready units: each unit counts its distinct
+    inputs not yet available and waits on them, and emitting a unit releases
+    the units waiting on its outputs. A ready unit stays ready, so the heap
+    emits the same order as rescanning for the lowest ready index, in
+    O(E log V) time for E input edges over V chosen units.
     """
-    available = set(kitchen.items)
-    remaining = sorted(set(chosen))
+    units = graph.units
+    items = kitchen.items
+    missing: dict[int, int] = {}  # unit -> distinct inputs not yet available
+    waiting: dict[ObjectKey, list[int]] = {}  # key -> units missing it
+    ready: list[int] = []
+    for pos in set(chosen):
+        needs = {key for key in units[pos].inputs if key not in items}
+        if needs:
+            missing[pos] = len(needs)
+            for key in needs:
+                waiting.setdefault(key, []).append(pos)
+        else:
+            ready.append(pos)
+    heapq.heapify(ready)
     steps: list[int] = []
-    while remaining:
-        ready = next(
-            (
-                pos
-                for pos in remaining
-                if all(key in available for key in graph.units[pos].inputs)
-            ),
-            None,
+    while ready:
+        pos = heapq.heappop(ready)
+        steps.append(pos)
+        for key in units[pos].outputs:
+            # popped, so a key produced twice releases its waiters once
+            for waiter in waiting.pop(key, ()):
+                missing[waiter] -= 1
+                if not missing[waiter]:
+                    heapq.heappush(ready, waiter)
+    remaining = sorted(pos for pos, count in missing.items() if count)
+    if remaining:
+        raise CyclicResolution(
+            f"units {remaining} have no executable order (cycle or missing producer)"
         )
-        if ready is None:
-            raise CyclicResolution(
-                f"units {remaining} have no executable order (cycle or missing producer)"
-            )
-        steps.append(ready)
-        remaining.remove(ready)
-        available.update(graph.units[ready].outputs)
     return tuple(steps)
 
 

@@ -17,6 +17,7 @@ from foon.core import (
     index_outputs,
 )
 from foon.parser import MotionRateTable
+from foon.retrieval import CyclicResolution
 
 
 def obj(name, states=(), ingredients=()):
@@ -149,6 +150,32 @@ def _all_assignments(graph, kitchen, goal_key, allowed):
 
     rec([goal_key], {})
     return out
+
+
+def naive_execution_order(graph, kitchen, goal, chosen):
+    """The scan-based ordering that ``execution_order`` replaced, kept as the
+    reference it must agree with: rescans the remaining units after every
+    step for the lowest-index one whose inputs are all available."""
+    available = set(kitchen.items)
+    remaining = sorted(set(chosen))
+    steps: list[int] = []
+    while remaining:
+        ready = next(
+            (
+                pos
+                for pos in remaining
+                if all(key in available for key in graph.units[pos].inputs)
+            ),
+            None,
+        )
+        if ready is None:
+            raise CyclicResolution(
+                f"units {remaining} have no executable order (cycle or missing producer)"
+            )
+        steps.append(ready)
+        remaining.remove(ready)
+        available.update(graph.units[ready].outputs)
+    return tuple(steps)
 
 
 def audit_decision_log(stats, minimize: bool):

@@ -1,3 +1,10 @@
+import copy
+import gc
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,9 +12,11 @@ from hypothesis import strategies as st
 from foon.core import (
     DuplicateUnit,
     MotionNode,
+    ObjectKey,
     find_candidate_units,
     index_outputs,
 )
+from foon.parser import parse_goal_nodes, parse_kitchen, parse_subgraph
 from helpers import build_graph, key_of, obj, unit
 
 WORDS = ["cream", "bowl", "tomato", "salad", "feta", "knife", "sugar", "oil"]
@@ -150,3 +159,74 @@ def test_whipped_cream_produced_only_by_whip(corpus_graph):
     assert tuple(brute) == candidates
     assert len(candidates) == 1
     assert corpus_graph.units[candidates[0]].motion.name == "whip"
+
+
+# --- interning and pickling ---------------------------------------------
+
+
+def test_equal_keys_are_one_instance():
+    assert ObjectKey(" Cream ", ["Whipped", "whipped"]) is ObjectKey("cream", ["whipped"])
+    assert ObjectKey("salad", [], ["tomato", "feta"]) is ObjectKey("salad", [], ["feta", "tomato"])
+    assert ObjectKey("cream", ["whipped"]) is not ObjectKey("cream")
+
+
+def test_parsers_share_one_key_per_object():
+    units = parse_subgraph("O\tCream\nS\tRaw\nM\twhip\nO\tcream\nS\twhipped\n//\n")
+    kitchen = parse_kitchen('[{"object": "cream", "states": ["raw"]}]')
+    goal = parse_goal_nodes('[{"object": " CREAM ", "states": ["Whipped"]}]')[0]
+    (raw,) = units[0].inputs
+    (whipped,) = units[0].outputs
+    assert next(iter(kitchen.items)) is raw
+    assert goal.target is whipped
+
+
+def test_unreferenced_key_leaves_the_intern_table():
+    fields = ("interning probe", (), ())
+    key = ObjectKey(*fields)
+    assert ObjectKey._interned[fields] is key
+    del key
+    gc.collect()
+    assert fields not in ObjectKey._interned
+
+
+def test_graph_round_trips_through_pickle_and_deepcopy(corpus_graph):
+    originals = {key: key for key in corpus_graph.output_index}
+    for copied in (pickle.loads(pickle.dumps(corpus_graph)), copy.deepcopy(corpus_graph)):
+        assert copied.units == corpus_graph.units
+        assert copied.output_index == corpus_graph.output_index
+        for original, unit_copy in zip(corpus_graph.units, copied.units):
+            assert unit_copy.motion == original.motion
+            assert all(a is b for a, b in zip(unit_copy.inputs, original.inputs))
+            assert all(a is b for a, b in zip(unit_copy.outputs, original.outputs))
+        for key in copied.output_index:
+            assert originals[key] is key
+
+
+def test_keys_built_concurrently_stay_equal():
+    # a lost race in the intern table may leave two equal instances, never
+    # two unequal keys for one object
+    names = [f"race probe {i}" for i in range(200)]
+    built: list[list[ObjectKey]] = []
+
+    def build(seed):
+        order = random.Random(seed).sample(names, len(names))
+        built.append([ObjectKey(name.upper(), ["Hot", "hot"], ["b", "a"]) for name in order])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 8
+    by_name: dict[str, set] = {}
+    for keys in built:
+        for key in keys:
+            by_name.setdefault(key.name, set()).add(key)
+    assert sorted(by_name) == sorted(names)
+    assert all(len(keys) == 1 for keys in by_name.values())

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from foon.core import GoalSpec, Kitchen, validate_task_tree
@@ -12,7 +14,17 @@ from foon.retrieval import (
     retrieve_gbfs,
     retrieve_ids,
 )
-from helpers import audit_decision_log, build_graph, chain_graph, key_of, obj, unit
+from helpers import (
+    audit_decision_log,
+    brute_force_resolutions,
+    build_graph,
+    chain_graph,
+    key_of,
+    naive_execution_order,
+    obj,
+    random_instance,
+    unit,
+)
 
 MILK_CHAIN = [
     (["cream"], "whip", ["whipped cream"]),  # U1
@@ -318,3 +330,48 @@ def test_execution_order_detects_cycle():
     kitchen = Kitchen.of(set())
     with pytest.raises(CyclicResolution):
         execution_order(graph, kitchen, GoalSpec(key_of("a")), {0, 1})
+
+
+def _order_or_error(order_fn, graph, kitchen, goal, chosen):
+    try:
+        return order_fn(graph, kitchen, goal, chosen)
+    except CyclicResolution as exc:
+        return ("CyclicResolution", str(exc))
+
+
+def test_execution_order_matches_naive_scan():
+    rng = random.Random(51966)
+    resolutions = stuck = 0
+    for _ in range(500):
+        graph, kitchen, goal, _ = random_instance(rng)
+        subsets = [set(units) for units, _ in brute_force_resolutions(graph, kitchen, goal)]
+        resolutions += len(subsets)
+        for _ in range(4):
+            subsets.append(set(rng.sample(range(len(graph)), rng.randint(0, len(graph)))))
+        for chosen in subsets:
+            expected = _order_or_error(naive_execution_order, graph, kitchen, goal, chosen)
+            assert _order_or_error(execution_order, graph, kitchen, goal, chosen) == expected
+            stuck += expected[:1] == ("CyclicResolution",)
+    # both the executable and the stuck branch were exercised
+    assert resolutions >= 400 and stuck >= 1000
+
+
+def test_execution_order_repeated_input_key():
+    # unit 0 lists "a" twice; it waits for one key, not two
+    graph = build_graph(
+        [
+            (["a", "a", "c"], "join", ["goal"]),
+            (["c"], "m1", ["a"]),
+            (["goal"], "m2", ["c"]),
+        ]
+    )
+    goal = GoalSpec(key_of("goal"))
+    stocked, empty = Kitchen.of({key_of("c")}), Kitchen.of(set())
+    for kitchen in (stocked, empty):
+        for chosen in ({0}, {0, 1}, {0, 1, 2}):
+            assert _order_or_error(execution_order, graph, kitchen, goal, chosen) == _order_or_error(
+                naive_execution_order, graph, kitchen, goal, chosen
+            )
+    assert execution_order(graph, stocked, goal, {0, 1}) == (1, 0)
+    with pytest.raises(CyclicResolution, match=r"units \[0, 1, 2\] have no executable order"):
+        execution_order(graph, empty, goal, {0, 1, 2})
