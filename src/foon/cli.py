@@ -159,10 +159,8 @@ def _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle):
         oracle_cols = {}
         if with_oracle:
             try:
-                oracle_cols = {
-                    "minimal_units": oracle_mod.minimal_units(graph, kitchen, goal),
-                    "minimal_depth": oracle_mod.minimal_depth(graph, kitchen, goal),
-                }
+                units, depth = oracle_mod._minima(graph, kitchen, goal)  # one enumeration for both
+                oracle_cols = {"minimal_units": units, "minimal_depth": depth}
             except UnresolvableGoal:
                 oracle_cols = {"minimal_units": "", "minimal_depth": ""}
             except oracle_mod.TooLarge as exc:

@@ -1,21 +1,24 @@
 """Task tree retrieval: backward chaining from a goal object over a FOON.
 
 Producing an object is an OR over its candidate units; executing a unit is an
-AND over its inputs. Both algorithms walk this AND-OR structure backward from
-the goal with chronological backtracking, differing only in how they order
-candidates and whether a depth bound applies:
+AND over its inputs. One engine, :func:`_backtrack`, walks this AND-OR
+structure backward from the goal with chronological backtracking, over an
+explicit stack, so no graph depth reaches Python's recursion limit. Each
+driver hands it an ``options(key, path)`` generator that yields the
+candidate units to try for a needed key, in order:
 
-* :func:`retrieve_ids` runs depth-first search under a depth bound measured
-  in functional-unit hops, restarting with bound + 1 until a full resolution
-  fits. Candidates are tried in ascending unit order.
-* :func:`retrieve_gbfs` orders candidates by a heuristic (motion success
-  rate, maximized, or input-object + ingredient count, minimized) and falls
-  back to the next-best candidate on dead ends.
+* :func:`retrieve_ids` yields candidates in ascending unit order under a
+  depth bound measured in functional-unit hops, restarting with bound + 1
+  until a full resolution fits.
+* :func:`retrieve_gbfs` yields them best-first by a heuristic (motion
+  success rate, maximized, or input-object + ingredient count, minimized),
+  logging each choice, with no bound.
 
 Both prune any candidate whose inputs include a key already on the active
 resolution path, which guarantees termination on cyclic graphs. A needed key
 is produced by at most one unit per resolution, so shared intermediates are
-computed once.
+computed once. Once a key resolves, its alternatives are dropped: a later
+failure backtracks to the enclosing choice, never back into a finished key.
 """
 
 from __future__ import annotations
@@ -124,27 +127,65 @@ def execution_order(
     return tuple(steps)
 
 
-class _Resolution:
-    """Mutable assignment of needed keys to producing units, with a trail so
-    failed branches roll back cleanly."""
+def _backtrack(
+    graph: FoonGraph, items: frozenset, target: ObjectKey, options, stats: SearchStats, bound: int | None = None
+) -> tuple[dict[ObjectKey, int] | None, bool]:
+    """Resolve ``target`` from the kitchen ``items``, trying the units that
+    ``options(key, path)`` yields for each needed key, where ``path`` is the
+    set of keys being resolved, ``key`` included.
 
-    def __init__(self):
-        self.producer: dict[ObjectKey, int] = {}
-        self.trail: list[ObjectKey] = []
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def assign(self, key: ObjectKey, unit_pos: int):
-        self.producer[key] = unit_pos
-        self.trail.append(key)
-
-    def rollback(self, mark: int):
-        while len(self.trail) > mark:
-            del self.producer[self.trail.pop()]
-
-    def chosen_units(self) -> set[int]:
-        return set(self.producer.values())
+    Returns ``(producer, hit_bound)``: ``producer`` maps each needed key to
+    its unit, or is ``None`` on failure, and ``hit_bound`` tells whether the
+    depth ``bound`` (unit hops from the target; ``None`` for none) cut a
+    branch off. Each unit tried counts in ``stats.units_expanded``.
+    """
+    units = graph.units
+    producer: dict[ObjectKey, int] = {}
+    height: dict[ObjectKey, int] = {}  # unit hops down to the kitchen per resolved key; kitchen items are 0
+    trail: list[ObjectKey] = []  # assigned keys, oldest first, for rollback
+    path: set[ObjectKey] = set()
+    stack: list[list] = []  # frames: [key, level, choices, trail mark, inputs left]
+    hit_bound = False
+    key, level = target, 0
+    while True:
+        # settle the needed key, or open a frame for it
+        if key in items:
+            ok = True
+        elif key in producer:  # reuse a finished subtree if it fits the bound
+            ok = bound is None or level + height[key] <= bound
+            hit_bound = hit_bound or not ok
+        elif bound is not None and level >= bound:
+            ok, hit_bound = False, True
+        else:
+            path.add(key)
+            stack.append([key, level, options(key, path), len(trail), None])
+            ok = False  # a fresh frame takes its first choice like a failed one
+        # pass the outcome up until some frame needs another key
+        while stack:
+            frame = stack[-1]
+            if not ok:
+                while len(trail) > frame[3]:  # roll back to the frame's mark
+                    del producer[trail.pop()]
+                pos = next(frame[2], None)
+                if pos is None:
+                    stack.pop()
+                    path.discard(frame[0])
+                    continue
+                stats.units_expanded += 1
+                producer[frame[0]] = pos
+                trail.append(frame[0])
+                frame[4] = iter(units[pos].inputs)
+            key = next(frame[4], None)
+            if key is not None:
+                level = frame[1] + 1
+                break
+            inputs = units[producer[frame[0]]].inputs
+            height[frame[0]] = 1 + max(height.get(ikey, 0) for ikey in inputs)
+            stack.pop()
+            path.discard(frame[0])
+            ok = True
+        else:
+            return (producer if ok else None), hit_bound
 
 
 def retrieve_ids(
@@ -164,58 +205,26 @@ def retrieve_ids(
     if depth_cap < 0:
         raise ValueError("depth_cap must be >= 0")
     stats = SearchStats(Algorithm.IDS)
-    target = goal.target
+    units = graph.units
+
+    def options(key: ObjectKey, path: set):
+        for pos in find_candidate_units(graph, key):
+            stats.candidate_evaluations += 1
+            if path.isdisjoint(units[pos].inputs):  # else it would revisit the path
+                yield pos
 
     for bound in range(depth_cap + 1):
-        resolution = _Resolution()
-        hit_bound = False
-
-        def verify(key: ObjectKey, level: int) -> bool:
-            # re-check an already-assigned subtree against the bound from a
-            # new occurrence level
-            nonlocal hit_bound
-            if key in kitchen:
-                return True
-            if level >= bound:
-                hit_bound = True
-                return False
-            unit = graph.units[resolution.producer[key]]
-            return all(verify(ikey, level + 1) for ikey in unit.inputs)
-
-        def resolve(key: ObjectKey, level: int, path: frozenset) -> bool:
-            nonlocal hit_bound
-            if key in kitchen:
-                return True
-            if key in resolution.producer:
-                return verify(key, level)
-            if level >= bound:
-                hit_bound = True
-                return False
-            candidates = find_candidate_units(graph, key)
-            path = path | {key}
-            for pos in candidates:
-                stats.candidate_evaluations += 1
-                inputs = graph.units[pos].inputs
-                if any(ikey in path for ikey in inputs):
-                    continue  # would revisit the active path
-                stats.units_expanded += 1
-                mark = resolution.mark()
-                resolution.assign(key, pos)
-                if all(resolve(ikey, level + 1, path) for ikey in inputs):
-                    return True
-                resolution.rollback(mark)
-            return False
-
-        if resolve(target, 0, frozenset()):
+        producer, hit_bound = _backtrack(graph, kitchen.items, goal.target, options, stats, bound)
+        if producer is not None:
             stats.final_depth_bound = bound
-            steps = execution_order(graph, kitchen, goal, resolution.chosen_units())
+            steps = execution_order(graph, kitchen, goal, set(producer.values()))
             return TaskTree(steps, stats)
         if not hit_bound:
             # the bound never cut anything off, so deeper iterations would
             # explore the identical tree and fail the same way
-            raise UnresolvableGoal(target, "no-candidates")
+            raise UnresolvableGoal(goal.target, "no-candidates")
 
-    raise UnresolvableGoal(target, "depth-cap-exhausted")
+    raise UnresolvableGoal(goal.target, "depth-cap-exhausted")
 
 
 def retrieve_gbfs(
@@ -236,7 +245,7 @@ def retrieve_gbfs(
     stats = SearchStats(
         Algorithm.GBFS_H2 if minimize else Algorithm.GBFS_H1
     )
-    resolution = _Resolution()
+    units = graph.units
     target = goal.target
 
     def score(unit: FunctionalUnit) -> float:
@@ -245,18 +254,9 @@ def retrieve_gbfs(
             return float(heuristic_input_count(unit))
         return heuristic_success_rate(unit, rates)
 
-    def resolve(key: ObjectKey, path: frozenset) -> bool:
-        if key in kitchen:
-            return True
-        if key in resolution.producer:
-            return True  # already produced by this resolution
-        path = path | {key}
-        alive = [
-            pos
-            for pos in find_candidate_units(graph, key)
-            if not any(ikey in path for ikey in graph.units[pos].inputs)
-        ]
-        scores = {pos: score(graph.units[pos]) for pos in alive}
+    def options(key: ObjectKey, path: set):
+        alive = [pos for pos in find_candidate_units(graph, key) if path.isdisjoint(units[pos].inputs)]
+        scores = {pos: score(units[pos]) for pos in alive}
         while alive:
             best = min(alive, key=lambda pos: (scores[pos] if minimize else -scores[pos], pos))
             stats.decision_log.append(
@@ -267,18 +267,13 @@ def retrieve_gbfs(
                     scores=tuple(scores[pos] for pos in alive),
                 )
             )
-            stats.units_expanded += 1
-            mark = resolution.mark()
-            resolution.assign(key, best)
-            if all(resolve(ikey, path) for ikey in graph.units[best].inputs):
-                return True
-            resolution.rollback(mark)
+            yield best
             alive.remove(best)
-        return False
 
-    if not resolve(target, frozenset()):
+    producer, _ = _backtrack(graph, kitchen.items, target, options, stats)
+    if producer is None:
         if not find_candidate_units(graph, target):
             raise UnresolvableGoal(target, "no-candidates")
         raise UnresolvableGoal(target, "dead-end")
-    steps = execution_order(graph, kitchen, goal, resolution.chosen_units())
+    steps = execution_order(graph, kitchen, goal, set(producer.values()))
     return TaskTree(steps, stats)

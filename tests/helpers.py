@@ -1,6 +1,7 @@
-"""Shared test utilities: graph builders, random generators, and the
+"""Shared test utilities: graph builders, random generators, the
 independent brute-force resolution checker used to cross-examine both the
-oracle and the search algorithms."""
+oracle and the search algorithms, and the earlier implementations of
+``execution_order`` and of the two searches, kept as references."""
 
 from __future__ import annotations
 
@@ -8,16 +9,29 @@ import random
 from itertools import combinations
 
 from foon.core import (
+    Algorithm,
+    Decision,
     FoonGraph,
     FunctionalUnit,
     GoalSpec,
     Kitchen,
     MotionNode,
     ObjectKey,
+    SearchStats,
+    TaskTree,
+    find_candidate_units,
     index_outputs,
 )
-from foon.parser import MotionRateTable
-from foon.retrieval import CyclicResolution
+from foon.parser import EMPTY_RATES, MotionRateTable
+from foon.retrieval import (
+    DEFAULT_DEPTH_CAP,
+    CyclicResolution,
+    HeuristicId,
+    UnresolvableGoal,
+    execution_order,
+    heuristic_input_count,
+    heuristic_success_rate,
+)
 
 
 def obj(name, states=(), ingredients=()):
@@ -176,6 +190,172 @@ def naive_execution_order(graph, kitchen, goal, chosen):
         remaining.remove(ready)
         available.update(graph.units[ready].outputs)
     return tuple(steps)
+
+
+# The recursive IDS and GBFS that the iterative ``foon.retrieval`` engine
+# replaced, kept verbatim as the reference it must agree with on trees,
+# failure reasons, counters and decision logs. They recurse once per unit
+# hop, so they only suit graphs well inside Python's recursion limit.
+
+
+class _Resolution:
+    """Mutable assignment of needed keys to producing units, with a trail so
+    failed branches roll back cleanly."""
+
+    def __init__(self):
+        self.producer: dict[ObjectKey, int] = {}
+        self.trail: list[ObjectKey] = []
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def assign(self, key: ObjectKey, unit_pos: int):
+        self.producer[key] = unit_pos
+        self.trail.append(key)
+
+    def rollback(self, mark: int):
+        while len(self.trail) > mark:
+            del self.producer[self.trail.pop()]
+
+    def chosen_units(self) -> set[int]:
+        return set(self.producer.values())
+
+
+def recursive_retrieve_ids(
+    graph: FoonGraph,
+    kitchen: Kitchen,
+    goal: GoalSpec,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
+) -> TaskTree:
+    """Iterative deepening retrieval.
+
+    The bound counts functional-unit hops from the goal: bound 0 succeeds
+    only if the goal is already in the kitchen. Each iteration restarts the
+    depth-first search from scratch; ``stats.units_expanded`` accumulates
+    across iterations and ``stats.final_depth_bound`` records the first bound
+    at which a full resolution exists.
+    """
+    if depth_cap < 0:
+        raise ValueError("depth_cap must be >= 0")
+    stats = SearchStats(Algorithm.IDS)
+    target = goal.target
+
+    for bound in range(depth_cap + 1):
+        resolution = _Resolution()
+        hit_bound = False
+
+        def verify(key: ObjectKey, level: int) -> bool:
+            # re-check an already-assigned subtree against the bound from a
+            # new occurrence level
+            nonlocal hit_bound
+            if key in kitchen:
+                return True
+            if level >= bound:
+                hit_bound = True
+                return False
+            unit = graph.units[resolution.producer[key]]
+            return all(verify(ikey, level + 1) for ikey in unit.inputs)
+
+        def resolve(key: ObjectKey, level: int, path: frozenset) -> bool:
+            nonlocal hit_bound
+            if key in kitchen:
+                return True
+            if key in resolution.producer:
+                return verify(key, level)
+            if level >= bound:
+                hit_bound = True
+                return False
+            candidates = find_candidate_units(graph, key)
+            path = path | {key}
+            for pos in candidates:
+                stats.candidate_evaluations += 1
+                inputs = graph.units[pos].inputs
+                if any(ikey in path for ikey in inputs):
+                    continue  # would revisit the active path
+                stats.units_expanded += 1
+                mark = resolution.mark()
+                resolution.assign(key, pos)
+                if all(resolve(ikey, level + 1, path) for ikey in inputs):
+                    return True
+                resolution.rollback(mark)
+            return False
+
+        if resolve(target, 0, frozenset()):
+            stats.final_depth_bound = bound
+            steps = execution_order(graph, kitchen, goal, resolution.chosen_units())
+            return TaskTree(steps, stats)
+        if not hit_bound:
+            # the bound never cut anything off, so deeper iterations would
+            # explore the identical tree and fail the same way
+            raise UnresolvableGoal(target, "no-candidates")
+
+    raise UnresolvableGoal(target, "depth-cap-exhausted")
+
+
+def recursive_retrieve_gbfs(
+    graph: FoonGraph,
+    kitchen: Kitchen,
+    goal: GoalSpec,
+    heuristic: HeuristicId,
+    rates: MotionRateTable = EMPTY_RATES,
+) -> TaskTree:
+    """Greedy best-first retrieval with ordered backtracking.
+
+    At every needed key the candidates are scored with the heuristic and
+    tried best-first (highest success rate, or lowest input count; ties go to
+    the lowest unit index). Each attempt is appended to
+    ``stats.decision_log`` with the candidates still alive at that point.
+    """
+    minimize = heuristic is HeuristicId.INPUT_COUNT
+    stats = SearchStats(
+        Algorithm.GBFS_H2 if minimize else Algorithm.GBFS_H1
+    )
+    resolution = _Resolution()
+    target = goal.target
+
+    def score(unit: FunctionalUnit) -> float:
+        stats.candidate_evaluations += 1
+        if minimize:
+            return float(heuristic_input_count(unit))
+        return heuristic_success_rate(unit, rates)
+
+    def resolve(key: ObjectKey, path: frozenset) -> bool:
+        if key in kitchen:
+            return True
+        if key in resolution.producer:
+            return True  # already produced by this resolution
+        path = path | {key}
+        alive = [
+            pos
+            for pos in find_candidate_units(graph, key)
+            if not any(ikey in path for ikey in graph.units[pos].inputs)
+        ]
+        scores = {pos: score(graph.units[pos]) for pos in alive}
+        while alive:
+            best = min(alive, key=lambda pos: (scores[pos] if minimize else -scores[pos], pos))
+            stats.decision_log.append(
+                Decision(
+                    needed=key,
+                    candidates=tuple(alive),
+                    chosen=best,
+                    scores=tuple(scores[pos] for pos in alive),
+                )
+            )
+            stats.units_expanded += 1
+            mark = resolution.mark()
+            resolution.assign(key, best)
+            if all(resolve(ikey, path) for ikey in graph.units[best].inputs):
+                return True
+            resolution.rollback(mark)
+            alive.remove(best)
+        return False
+
+    if not resolve(target, frozenset()):
+        if not find_candidate_units(graph, target):
+            raise UnresolvableGoal(target, "no-candidates")
+        raise UnresolvableGoal(target, "dead-end")
+    steps = execution_order(graph, kitchen, goal, resolution.chosen_units())
+    return TaskTree(steps, stats)
 
 
 def audit_decision_log(stats, minimize: bool):

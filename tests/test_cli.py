@@ -1,9 +1,14 @@
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from foon import oracle
 from foon.cli import main
 from foon.data import corpus_file, subgraph_paths
 from foon.parser import write_subgraph
@@ -153,18 +158,43 @@ def test_compare_with_oracle_columns(runner, universal, corpus_paths):
     assert header.endswith("resolved,minimal_units,minimal_depth")
 
 
-def test_compare_with_oracle_too_large_leaves_columns_blank(runner, tmp_path):
-    graph, kitchen, goal = chain_graph(12)  # 24 units: past the oracle's guard
+def test_compare_with_oracle_enumerates_once_per_goal(runner, universal, corpus_paths, monkeypatch):
+    calls = []
+    enumerate_resolutions = oracle.enumerate_resolutions
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])  # the goal
+        return enumerate_resolutions(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_resolutions", counting)
+    result = runner.invoke(
+        main,
+        ["compare", universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"],
+         "--with-oracle", "--format", "csv"],
+    )
+    assert result.exit_code == 0, result.output
+    goals = [row.split(",")[0] for row in result.stdout.splitlines()[1::3]]
+    assert [str(goal.target) for goal in calls] == goals
+    assert len(goals) == 3
+
+
+def _write_chain(tmp_path, depth):
+    """A ``chain_graph(depth)`` written as universal, kitchen and goals files."""
+    graph, kitchen, goal = chain_graph(depth)
     universal = tmp_path / "chain.foon.txt"
     universal.write_text(write_subgraph(graph.units))
     kitchen_file = tmp_path / "kitchen.json"
     kitchen_file.write_text(json.dumps([{"object": key.name} for key in kitchen.items]))
     goals_file = tmp_path / "goals.json"
     goals_file.write_text(json.dumps([{"object": goal.target.name}]))
+    return str(universal), str(kitchen_file), str(goals_file)
+
+
+def test_compare_with_oracle_too_large_leaves_columns_blank(runner, tmp_path):
+    universal, kitchen_file, goals_file = _write_chain(tmp_path, 12)  # 24 units: past the oracle's guard
     result = runner.invoke(
         main,
-        ["compare", str(universal), str(kitchen_file), str(goals_file),
-         "--with-oracle", "--format", "csv"],
+        ["compare", universal, kitchen_file, goals_file, "--with-oracle", "--format", "csv"],
     )
     assert result.exit_code == 0, result.output
     rows = result.stdout.splitlines()
@@ -172,6 +202,30 @@ def test_compare_with_oracle_too_large_leaves_columns_blank(runner, tmp_path):
     assert len(rows) == 4
     assert all(row.endswith(",true,,") for row in rows[1:])
     assert result.stderr.count("g0: oracle skipped") == 1
+
+
+def test_retrieve_deep_chain(runner, tmp_path):
+    universal, kitchen_file, goals_file = _write_chain(tmp_path, 600)
+    result = runner.invoke(
+        main,
+        ["retrieve", universal, kitchen_file, goals_file, "--algo", "gbfs2",
+         "--out-dir", str(tmp_path / "o")],
+    )
+    assert result.exception is None, result.exception
+    assert result.exit_code == 0, result.output
+    assert result.output == "g0: 600 units -> g0_gbfs2.foon.txt\n"
+
+
+def test_compare_deep_chain(runner, tmp_path):
+    universal, kitchen_file, goals_file = _write_chain(tmp_path, 600)
+    result = runner.invoke(
+        main, ["compare", universal, kitchen_file, goals_file, "--depth-cap", "700", "--format", "csv"]
+    )
+    assert result.exception is None, result.exception
+    assert result.exit_code == 0, result.output
+    rows = result.stdout.splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [["ids", "600"], ["gbfs1", "600"], ["gbfs2", "600"]]
+    assert rows[0].endswith(",600,true")  # the IDS depth bound
 
 
 def test_compare_empty_goals_header_only(runner, universal, corpus_paths, tmp_path):
@@ -235,3 +289,50 @@ def test_viz_non_utf8_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["viz", str(bad), "-o", str(tmp_path / "x.dot")])
     assert result.exit_code == 2
     assert "bad.foon.txt" in result.output
+
+
+_VALID = {
+    "graph": corpus_file("whipped_cream.foon.txt").read_bytes(),
+    "kitchen": corpus_file("kitchen.json").read_bytes(),
+    "goals": corpus_file("goal_nodes.json").read_bytes(),
+    "rates": corpus_file("motion.txt").read_bytes(),
+}
+
+
+def _file_bytes(name):
+    """Arbitrary bytes, or a valid file with a run of bytes spliced in."""
+    valid = _VALID[name]
+    spliced = st.tuples(
+        st.integers(0, len(valid)), st.integers(0, 16), st.binary(max_size=16)
+    ).map(lambda cut: valid[: cut[0]] + cut[2] + valid[cut[0] + cut[1]:])
+    return st.one_of(st.binary(max_size=256), spliced)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=_file_bytes("graph"),
+    kitchen=_file_bytes("kitchen"),
+    goals=_file_bytes("goals"),
+    rates=_file_bytes("rates"),
+)
+def test_cli_exit_codes_on_arbitrary_input_bytes(graph, kitchen, goals, rates):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in (("graph", graph), ("kitchen", kitchen), ("goals", goals), ("rates", rates)):
+            paths[name] = str(Path(tmp) / name)
+            Path(paths[name]).write_bytes(data)
+        files = [paths["graph"], paths["kitchen"], paths["goals"]]
+        for args in (
+            ["viz", paths["graph"], "-o", str(Path(tmp) / "out.dot")],
+            ["retrieve", *files, "--algo", "gbfs1", "--motion-rates", paths["rates"],
+             "--out-dir", str(Path(tmp) / "trees")],
+            ["compare", *files, "--motion-rates", paths["rates"], "--with-oracle"],
+        ):
+            result = runner.invoke(main, args)
+            # an exception other than SystemExit escaped the command
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                args[0], repr(result.exception)
+            )
+            assert result.exit_code in (0, 1, 2), (args[0], result.output)
+            assert "Traceback" not in result.output

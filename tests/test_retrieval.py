@@ -1,8 +1,12 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from foon.core import GoalSpec, Kitchen, validate_task_tree
+import foon.retrieval
+import helpers
+from foon.core import GoalSpec, Kitchen, SearchStats, validate_task_tree
 from foon.parser import EMPTY_RATES, MotionRateTable
 from foon.retrieval import (
     CyclicResolution,
@@ -23,6 +27,8 @@ from helpers import (
     naive_execution_order,
     obj,
     random_instance,
+    recursive_retrieve_gbfs,
+    recursive_retrieve_ids,
     unit,
 )
 
@@ -117,6 +123,26 @@ def test_ids_backtracks_past_dead_end():
     kitchen = Kitchen.of({key_of("base")})
     tree = retrieve_ids(graph, kitchen, GoalSpec(key_of("goal")))
     assert tree.steps == (1,)
+
+
+def test_ids_reused_subtree_counts_its_deepest_branch():
+    # "shared" resolves at level 1 with branches of height 1 and 2, then is
+    # reused at level 2 under "side": only bound 4 fits the deeper branch
+    graph = build_graph(
+        [
+            (["shared", "side"], "join", ["goal"]),
+            (["shared"], "m1", ["side"]),
+            (["k1", "mid"], "m2", ["shared"]),
+            (["k2"], "m3", ["mid"]),
+        ]
+    )
+    kitchen = Kitchen.of({key_of("k1"), key_of("k2")})
+    goal = GoalSpec(key_of("goal"))
+    tree = retrieve_ids(graph, kitchen, goal)
+    assert tree.stats.final_depth_bound == 4
+    assert tree.steps == (3, 2, 1, 0)
+    reference = recursive_retrieve_ids(graph, kitchen, goal)
+    assert (tree.steps, tree.stats) == (reference.steps, reference.stats)
 
 
 def test_ids_expansions_accumulate_across_bounds():
@@ -290,6 +316,93 @@ def test_determinism_byte_identical_trees(corpus_graph, corpus_kitchen, corpus_g
         second = all_algorithms(corpus_graph, corpus_kitchen, goal, corpus_rates)
         for a, b in zip(first, second):
             assert write_task_tree(corpus_graph, a) == write_task_tree(corpus_graph, b)
+
+
+# --- the iterative engine against the recursive reference --------------
+
+
+@pytest.fixture()
+def built_stats(monkeypatch):
+    """The last ``SearchStats`` built by either implementation, so a failed
+    retrieval's counters can be compared too."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built[:] = [SearchStats(*args, **kwargs)]
+        return built[0]
+
+    monkeypatch.setattr(foon.retrieval, "SearchStats", recording)
+    monkeypatch.setattr(helpers, "SearchStats", recording)
+    return built
+
+
+def _outcome(built, retrieve, *args):
+    """Steps or failure reason, then every counter and the decision log."""
+    try:
+        tree = retrieve(*args)
+    except UnresolvableGoal as exc:
+        result, stats = exc.reason, built[0]
+    else:
+        result, stats = tree.steps, tree.stats
+    return (
+        result,
+        stats.units_expanded,
+        stats.candidate_evaluations,
+        stats.final_depth_bound,
+        stats.decision_log,
+    )
+
+
+def test_engine_matches_recursive_reference(
+    built_stats, corpus_graph, corpus_kitchen, corpus_goals, corpus_rates
+):
+    instances = [(corpus_graph, corpus_kitchen, goal, corpus_rates) for goal in corpus_goals]
+    rng = random.Random(60221)
+    instances += [random_instance(rng) for _ in range(1000)]
+    instances += [random_instance(rng, max_units=24, max_branching=4) for _ in range(200)]
+    outcomes = Counter()
+    for graph, kitchen, goal, rates in instances:
+        runs = [
+            (f"ids{cap}", retrieve_ids, recursive_retrieve_ids, (cap,)) for cap in (0, 1, 2, 3, 100)
+        ] + [
+            (h.value, retrieve_gbfs, recursive_retrieve_gbfs, (h, rates)) for h in HeuristicId
+        ]
+        for name, engine, reference, extra in runs:
+            args = (graph, kitchen, goal) + extra
+            got = _outcome(built_stats, engine, *args)
+            assert got == _outcome(built_stats, reference, *args), (name, goal)
+            outcomes[name, got[0] if isinstance(got[0], str) else "resolved"] += 1
+    # every algorithm both resolved and failed, for every reason it can give
+    for name in ("ids0", "ids1", "ids2", "ids3", "ids100", "success-rate", "input-count"):
+        assert outcomes[name, "resolved"] >= 50, name
+    for name in ("ids1", "ids2", "ids3"):
+        assert outcomes[name, "depth-cap-exhausted"] >= 50, name
+    for name in ("ids100", "success-rate", "input-count"):
+        assert outcomes[name, "no-candidates"] >= 50, name
+    for name in ("success-rate", "input-count"):
+        assert outcomes[name, "dead-end"] >= 50, name
+
+
+# --- deep graphs --------------------------------------------------------
+
+
+@pytest.mark.parametrize("heuristic", list(HeuristicId))
+def test_gbfs_deeper_than_recursion_limit(heuristic):
+    depth = sys.getrecursionlimit() + 200
+    graph, kitchen, goal = chain_graph(depth)
+    tree = retrieve_gbfs(graph, kitchen, goal, heuristic)
+    assert len(tree.steps) == depth
+    assert tree.stats.units_expanded == depth
+    validate_task_tree(graph, kitchen, goal, tree)
+
+
+def test_ids_deep_chain():
+    graph, kitchen, goal = chain_graph(600, with_decoys=False)
+    tree = retrieve_ids(graph, kitchen, goal, depth_cap=600)
+    assert tree.stats.final_depth_bound == 600
+    assert tree.steps == tuple(range(599, -1, -1))
+    assert tree.stats.units_expanded == 600 * 601 // 2  # bound b expands b units
+    validate_task_tree(graph, kitchen, goal, tree)
 
 
 # --- execution order ----------------------------------------------------
