@@ -136,6 +136,7 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = 0
+    stems = set()
     for goal in goals:
         label = str(goal.target)
         try:
@@ -144,7 +145,12 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
             click.echo(f"{label}: unresolvable ({exc.reason})")
             failures += 1
             continue
-        stem = f"{_goal_slug(goal)}_{algo}"
+        stem = base = f"{_goal_slug(goal)}_{algo}"
+        suffix = 1
+        while stem in stems:  # goals that differ only in states or ingredients share a slug
+            suffix += 1
+            stem = f"{base}_{suffix}"
+        stems.add(stem)
         (out / f"{stem}.foon.txt").write_text(write_task_tree(graph, tree), encoding="utf-8")
         (out / f"{stem}.dot").write_text(to_dot(graph, tree), encoding="utf-8")
         click.echo(f"{label}: {len(tree.steps)} units -> {stem}.foon.txt")

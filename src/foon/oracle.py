@@ -1,39 +1,44 @@
-"""Exhaustive enumeration of every valid task tree on small graphs.
+"""Exhaustive enumeration of every valid task tree.
 
 Ground truth for testing the retrieval algorithms: enumerates all consistent
 resolutions (one producer per needed key, kitchen always satisfies, acyclic
-by path-pruning) instead of following any particular search order. Guarded
-so it is only ever run on desk-scale graphs.
+by path-pruning) instead of following any particular search order. The
+enumeration runs over an explicit stack, so graph depth never meets Python's
+recursion limit, and it gives up with :class:`TooLarge` once it has visited
+``MAX_STATES`` search states.
 """
 
 from __future__ import annotations
 
-from math import comb
-
-from .core import (
-    FoonError,
-    FoonGraph,
-    GoalSpec,
-    Kitchen,
-    ObjectKey,
-    find_candidate_units,
-)
+from .core import FoonError, FoonGraph, GoalSpec, Kitchen, ObjectKey, find_candidate_units
 from .retrieval import UnresolvableGoal
 
 
 class TooLarge(FoonError):
-    """The graph/bound combination implies too many subsets to enumerate."""
+    """The enumeration visited more than ``MAX_STATES`` search states."""
 
 
-MAX_COMBINATIONS = 10**6
+MAX_STATES = 10**4
 
 
-def _check_guard(n_units: int, max_units: int):
-    total = sum(comb(n_units, k) for k in range(min(max_units, n_units) + 1))
-    if total > MAX_COMBINATIONS:
-        raise TooLarge(
-            f"{n_units} units with bound {max_units} implies {total} subsets (> {MAX_COMBINATIONS})"
-        )
+def _depth(graph: FoonGraph, kitchen: Kitchen, producer: dict, goal_key: ObjectKey) -> int:
+    """Longest chain of unit hops from the goal down to a kitchen item under
+    one complete, acyclic producer assignment; each key is computed once."""
+    depth: dict[ObjectKey, int] = {}
+    stack = [goal_key]
+    while stack:
+        key = stack[-1]
+        if key in kitchen.items:
+            depth[key] = 0
+        elif key not in depth:
+            inputs = graph.units[producer[key]].inputs
+            missing = [ikey for ikey in inputs if ikey not in depth]
+            if missing:
+                stack.extend(missing)
+                continue
+            depth[key] = 1 + max(depth[ikey] for ikey in inputs)
+        stack.pop()
+    return depth[goal_key]
 
 
 def enumerate_resolutions(
@@ -48,47 +53,39 @@ def enumerate_resolutions(
     A resolution assigns every needed key either to the kitchen or to exactly
     one chosen unit; every chosen unit is actually used. Depth is the longest
     chain of unit hops from the goal down to a kitchen item. The result is
-    duplicate-free, sorted for determinism.
+    duplicate-free, sorted for determinism. Raises :class:`TooLarge` when the
+    enumeration pops more than ``MAX_STATES`` states off its stack.
     """
-    _check_guard(len(graph), max_units)
-
+    if goal.target in kitchen.items:
+        return [(frozenset(), 0)]
     found: dict[frozenset, int] = {}
-
-    def depth_of(key: ObjectKey, producer: dict) -> int:
-        if key in kitchen:
-            return 0
-        unit = graph.units[producer[key]]
-        return 1 + max(depth_of(ikey, producer) for ikey in unit.inputs)
-
-    def expand(pending: list[ObjectKey], producer: dict, path_stack: list[frozenset]):
-        # pending holds (key, path) pairs flattened as parallel stacks
-        if not pending:
+    # a state is (pending (key, path) pairs, producer map); neither is mutated once pushed
+    stack = [(((goal.target, frozenset()),), {})]
+    popped = 0
+    while stack:
+        popped += 1
+        if popped > MAX_STATES:
+            raise TooLarge(f"enumeration passed {MAX_STATES} states")
+        pending, producer = stack.pop()
+        top = len(pending)
+        while top and (pending[top - 1][0] in kitchen.items or pending[top - 1][0] in producer):
+            top -= 1
+        if not top:
             units = frozenset(producer.values())
-            depth = depth_of(goal.target, producer)
+            depth = _depth(graph, kitchen, producer, goal.target)
             if units not in found or depth < found[units]:
                 found[units] = depth
-            return
-        key = pending[-1]
-        path = path_stack[-1]
-        if key in kitchen or key in producer:
-            expand(pending[:-1], producer, path_stack[:-1])
-            return
-        new_path = path | {key}
+            continue
+        key, path = pending[top - 1]
+        path = path | {key}
         for pos in find_candidate_units(graph, key):
             inputs = graph.units[pos].inputs
-            if any(ikey in new_path for ikey in inputs):
+            if not path.isdisjoint(inputs):
                 continue
-            next_producer = dict(producer)
-            next_producer[key] = pos
+            next_producer = {**producer, key: pos}
             if len(set(next_producer.values())) > max_units:
                 continue
-            next_pending = pending[:-1] + list(inputs)
-            next_paths = path_stack[:-1] + [new_path] * len(inputs)
-            expand(next_pending, next_producer, next_paths)
-
-    if goal.target in kitchen:
-        return [(frozenset(), 0)]
-    expand([goal.target], {}, [frozenset()])
+            stack.append((pending[: top - 1] + tuple((ikey, path) for ikey in inputs), next_producer))
     return sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0]), item[1]))
 
 

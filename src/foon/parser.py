@@ -199,6 +199,10 @@ def _parse_object_entries(text: str) -> list[ObjectKey]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit; no position given
+        raise ParseError(1, f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(1, "invalid JSON: nested too deeply") from None
     if not isinstance(data, list):
         raise SchemaError("<root>", "expected a JSON array")
     keys = []
@@ -215,6 +219,12 @@ def _parse_object_entries(text: str) -> list[ObjectKey]:
         for field_name, value in (("states", states), ("ingredients", ingredients)):
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise SchemaError(field_name, f"must be a list of strings in entry {pos}")
+        for field_name, values in (("object", [name]), ("states", states), ("ingredients", ingredients)):
+            try:
+                for value in values:
+                    value.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate escape such as "\ud800"
+                raise SchemaError(field_name, f"not encodable as UTF-8 in entry {pos}") from None
         keys.append(ObjectKey(name, states, ingredients))
     return keys
 

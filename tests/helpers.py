@@ -67,6 +67,27 @@ def chain_graph(depth, with_decoys=True):
     return graph, kitchen, GoalSpec(key_of("g0"))
 
 
+def ladder_graph(levels):
+    """Keys ``a{i}`` and ``b{i}`` are each made from both ``a{i+1}`` and
+    ``b{i+1}``: one resolution of depth `levels`, whose keys are reached along
+    2**levels paths."""
+    specs = []
+    for i in range(levels):
+        for name in (f"a{i}", f"b{i}"):
+            specs.append(([f"a{i + 1}", f"b{i + 1}"], f"m{name}", [name]))
+    kitchen = Kitchen.of({key_of(f"a{levels}"), key_of(f"b{levels}")})
+    return build_graph(specs), kitchen, GoalSpec(key_of("a0"))
+
+
+def fan_graph(width):
+    """Goal ``g0`` made from `width` keys that each have two producers from
+    the kitchen: 2**width resolutions of depth 2."""
+    specs = [([f"k{i}" for i in range(width)], "mix", ["g0"])]
+    for i in range(width):
+        specs += [(["x"], f"m{i}", [f"k{i}"]), (["x"], f"m{i}y", [f"k{i}"])]
+    return build_graph(specs), Kitchen.of({key_of("x")}), GoalSpec(key_of("g0"))
+
+
 def random_instance(rng: random.Random, max_units=12, max_branching=3):
     """A random small retrieval instance: graph, kitchen, goal, rates.
 

@@ -12,7 +12,7 @@ from foon import oracle
 from foon.cli import main
 from foon.data import corpus_file, subgraph_paths
 from foon.parser import write_subgraph
-from helpers import chain_graph
+from helpers import chain_graph, fan_graph
 
 
 @pytest.fixture()
@@ -101,6 +101,45 @@ def test_retrieve_goal_in_kitchen_zero_steps(runner, universal, corpus_paths, tm
     assert (tmp_path / "o" / "cream_gbfs2.foon.txt").read_text().startswith("# task tree: 0 units")
 
 
+def test_retrieve_goals_sharing_a_name_get_distinct_files(runner, universal, corpus_paths, tmp_path):
+    goals = tmp_path / "goals.json"
+    goals.write_text('[{"object":"cream","states":["in [bowl]"]},{"object":"cream","states":["raw"]}]')
+    out_dir = tmp_path / "o"
+    result = runner.invoke(
+        main,
+        ["retrieve", universal, corpus_paths["kitchen.json"], str(goals),
+         "--algo", "ids", "--out-dir", str(out_dir)],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [
+        "cream{in [bowl]}: 1 units -> cream_ids.foon.txt",
+        "cream{raw}: 0 units -> cream_ids_2.foon.txt",
+    ]
+    assert (out_dir / "cream_ids.foon.txt").read_text().startswith("# task tree: 1 units")
+    assert (out_dir / "cream_ids_2.foon.txt").read_text().startswith("# task tree: 0 units")
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        "cream_ids.dot", "cream_ids.foon.txt", "cream_ids_2.dot", "cream_ids_2.foon.txt"
+    ]
+
+
+@pytest.mark.parametrize(
+    "goals_text",
+    ["[" * 100_000, "[" + "7" * 5_000 + "]", '[{"object": "\\ud800"}]'],
+    ids=["deep-nesting", "long-integer", "lone-surrogate"],
+)
+def test_retrieve_json_goals_past_the_decoder_exit_2(runner, universal, corpus_paths, tmp_path, goals_text):
+    goals = tmp_path / "goals.json"
+    goals.write_text(goals_text)
+    result = runner.invoke(
+        main,
+        ["retrieve", universal, corpus_paths["kitchen.json"], str(goals),
+         "--algo", "ids", "--out-dir", str(tmp_path / "o")],
+    )
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("Error: ")
+
+
 def test_retrieve_unknown_algo_usage_error(runner, universal, corpus_paths):
     result = runner.invoke(
         main,
@@ -178,10 +217,9 @@ def test_compare_with_oracle_enumerates_once_per_goal(runner, universal, corpus_
     assert len(goals) == 3
 
 
-def _write_chain(tmp_path, depth):
-    """A ``chain_graph(depth)`` written as universal, kitchen and goals files."""
-    graph, kitchen, goal = chain_graph(depth)
-    universal = tmp_path / "chain.foon.txt"
+def _write_instance(tmp_path, graph, kitchen, goal):
+    """A graph, kitchen and goal written as universal, kitchen and goals files."""
+    universal = tmp_path / "graph.foon.txt"
     universal.write_text(write_subgraph(graph.units))
     kitchen_file = tmp_path / "kitchen.json"
     kitchen_file.write_text(json.dumps([{"object": key.name} for key in kitchen.items]))
@@ -190,8 +228,21 @@ def _write_chain(tmp_path, depth):
     return str(universal), str(kitchen_file), str(goals_file)
 
 
+def test_compare_with_oracle_on_chain(runner, tmp_path):
+    universal, kitchen_file, goals_file = _write_instance(tmp_path, *chain_graph(12))
+    result = runner.invoke(
+        main,
+        ["compare", universal, kitchen_file, goals_file, "--with-oracle", "--format", "csv"],
+    )
+    assert result.exit_code == 0, result.output
+    rows = result.stdout.splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.endswith(",true,12,12") for row in rows)
+    assert result.stderr == ""
+
+
 def test_compare_with_oracle_too_large_leaves_columns_blank(runner, tmp_path):
-    universal, kitchen_file, goals_file = _write_chain(tmp_path, 12)  # 24 units: past the oracle's guard
+    universal, kitchen_file, goals_file = _write_instance(tmp_path, *fan_graph(20))  # 2**20 resolutions
     result = runner.invoke(
         main,
         ["compare", universal, kitchen_file, goals_file, "--with-oracle", "--format", "csv"],
@@ -205,7 +256,7 @@ def test_compare_with_oracle_too_large_leaves_columns_blank(runner, tmp_path):
 
 
 def test_retrieve_deep_chain(runner, tmp_path):
-    universal, kitchen_file, goals_file = _write_chain(tmp_path, 600)
+    universal, kitchen_file, goals_file = _write_instance(tmp_path, *chain_graph(600))
     result = runner.invoke(
         main,
         ["retrieve", universal, kitchen_file, goals_file, "--algo", "gbfs2",
@@ -217,7 +268,7 @@ def test_retrieve_deep_chain(runner, tmp_path):
 
 
 def test_compare_deep_chain(runner, tmp_path):
-    universal, kitchen_file, goals_file = _write_chain(tmp_path, 600)
+    universal, kitchen_file, goals_file = _write_instance(tmp_path, *chain_graph(600))
     result = runner.invoke(
         main, ["compare", universal, kitchen_file, goals_file, "--depth-cap", "700", "--format", "csv"]
     )
@@ -299,13 +350,33 @@ _VALID = {
 }
 
 
+# JSON that the decoder accepts or chokes on in ways no byte splice reaches:
+# nesting past the recursion limit, integers past the digit limit, and
+# names, states and ingredients holding lone surrogate escapes
+_json_text = st.text(st.characters(categories=["Ll", "Cs"]), min_size=1, max_size=3)
+_json_entries = st.lists(
+    st.fixed_dictionaries(
+        {"object": _json_text},
+        optional={"states": st.lists(_json_text, max_size=2), "ingredients": st.lists(_json_text, max_size=2)},
+    ),
+    max_size=3,
+)
+_json_docs = st.one_of(
+    st.integers(0, 100_000).map(lambda depth: "[" * depth),
+    st.integers(4_000, 6_000).map(lambda digits: "[" + "7" * digits + "]"),
+    _json_entries.map(json.dumps),
+).map(str.encode)
+
+
 def _file_bytes(name):
-    """Arbitrary bytes, or a valid file with a run of bytes spliced in."""
+    """Arbitrary bytes, or a valid file with a run of bytes spliced in; for
+    the JSON files also JSON-shaped documents."""
     valid = _VALID[name]
     spliced = st.tuples(
         st.integers(0, len(valid)), st.integers(0, 16), st.binary(max_size=16)
     ).map(lambda cut: valid[: cut[0]] + cut[2] + valid[cut[0] + cut[1]:])
-    return st.one_of(st.binary(max_size=256), spliced)
+    json_docs = (_json_docs,) if name in ("kitchen", "goals") else ()
+    return st.one_of(st.binary(max_size=256), spliced, *json_docs)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,11 +1,20 @@
 import random
+import time
 
 import pytest
 
 from foon.core import Algorithm, GoalSpec, Kitchen, SearchStats, TaskTree, validate_task_tree
 from foon.oracle import TooLarge, enumerate_resolutions, minimal_depth, minimal_units
 from foon.retrieval import UnresolvableGoal, execution_order, retrieve_ids
-from helpers import brute_force_resolutions, build_graph, chain_graph, key_of, random_instance
+from helpers import (
+    brute_force_resolutions,
+    build_graph,
+    chain_graph,
+    fan_graph,
+    key_of,
+    ladder_graph,
+    random_instance,
+)
 
 
 def milk_chain():
@@ -63,10 +72,21 @@ def test_unresolvable_goal():
 
 
 def test_guard_refuses_huge_enumerations():
-    specs = [([f"in{i}"], "m", [f"out{i}"]) for i in range(60)]
-    graph = build_graph(specs)
+    graph, kitchen, goal = fan_graph(20)  # 2**20 resolutions
     with pytest.raises(TooLarge):
-        enumerate_resolutions(graph, Kitchen.of(set()), GoalSpec(key_of("out0")), 40)
+        enumerate_resolutions(graph, kitchen, goal, len(graph))
+
+
+def test_deep_chain_enumerates_without_recursion_error():
+    graph, kitchen, goal = chain_graph(600)
+    assert enumerate_resolutions(graph, kitchen, goal, len(graph)) == [(frozenset(range(0, 1200, 2)), 600)]
+
+
+def test_ladder_depth_is_computed_once_per_key():
+    graph, kitchen, goal = ladder_graph(30)
+    started = time.monotonic()
+    assert minimal_depth(graph, kitchen, goal) == 30
+    assert time.monotonic() - started < 1.0
 
 
 def test_max_units_bound_respected():
