@@ -22,7 +22,6 @@ from .export import to_dot, write_task_tree
 from .merge import merge_subgraphs
 from .parser import (
     EMPTY_RATES,
-    MotionRateTable,
     parse_goal_nodes,
     parse_kitchen,
     parse_motion_rates,
@@ -63,10 +62,16 @@ def _load_graph(path: str):
     return merge_subgraphs([parse_subgraph(_read(path))]).graph
 
 
-def _load_rates(path: str | None) -> MotionRateTable:
-    if path is None:
-        return EMPTY_RATES
-    return parse_motion_rates(_read(path))
+def _load_inputs(universal: str, kitchen_file: str, goals_file: str, rates_file: str | None):
+    """Graph, kitchen, goals and motion rates; exit 2 when a file cannot be read or parsed."""
+    try:
+        graph = _load_graph(universal)
+        kitchen = parse_kitchen(_read(kitchen_file))
+        goals = parse_goal_nodes(_read(goals_file))
+        rates = EMPTY_RATES if rates_file is None else parse_motion_rates(_read(rates_file))
+    except FoonError as exc:
+        _fail(str(exc))
+    return graph, kitchen, goals, rates
 
 
 def _run_algo(algo: str, graph, kitchen, goal, rates, depth_cap) -> TaskTree:
@@ -125,14 +130,7 @@ def cmd_merge(inputs, out):
 @rates_option
 def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, motion_rates):
     """Extract one task tree per goal and write .foon.txt + .dot files."""
-    try:
-        graph = _load_graph(universal)
-        kitchen = parse_kitchen(_read(kitchen_file))
-        goals = parse_goal_nodes(_read(goals_file))
-        rates = _load_rates(motion_rates)
-    except FoonError as exc:
-        _fail(str(exc))
-
+    graph, kitchen, goals, rates = _load_inputs(universal, kitchen_file, goals_file, motion_rates)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -229,14 +227,7 @@ def render_csv(rows, with_oracle: bool) -> str:
 @rates_option
 def cmd_compare(universal, kitchen_file, goals_file, with_oracle, fmt, depth_cap, motion_rates):
     """Run all three algorithms per goal and report unit counts."""
-    try:
-        graph = _load_graph(universal)
-        kitchen = parse_kitchen(_read(kitchen_file))
-        goals = parse_goal_nodes(_read(goals_file))
-        rates = _load_rates(motion_rates)
-    except FoonError as exc:
-        _fail(str(exc))
-
+    graph, kitchen, goals, rates = _load_inputs(universal, kitchen_file, goals_file, motion_rates)
     rows, any_failure = _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle)
     if fmt == "csv":
         click.echo(render_csv(rows, with_oracle), nl=False)

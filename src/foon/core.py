@@ -4,8 +4,8 @@ indexed universal graph.
 An object has one type, :class:`ObjectKey`, which canonicalizes its fields
 and is its own identity: a unit's ``inputs`` and ``outputs`` are tuples of
 keys, and graph indexes, kitchens and goals hold the same keys. Keys are
-interned, so there is one instance per distinct key in a process and every
-dict or set lookup on a key matches on identity; equality stays field-based.
+interned under a lock, so there is one instance per distinct key in a
+process, and key equality and hashing are ``object``'s identity versions.
 
 Everything here is immutable after construction and hashable where identity
 matters, so graphs and kitchens can be shared freely between concurrent
@@ -14,6 +14,7 @@ retrievals.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,21 +37,20 @@ class ObjectKey:
 
     The constructor trims and lowercases every field, deduplicates and sorts
     the states, and sorts the ingredients (duplicates kept -- multiset
-    semantics). Two objects denote the same kitchen item iff their keys are
-    equal. Keys order as their ``(name, states, ingredients)`` tuples, and
-    the hash is computed once, at construction.
+    semantics). Keys order as their ``(name, states, ingredients)`` tuples.
 
-    Keys are interned: constructing a key equal to a live one returns that
-    instance, so identity implies equality. Equality is still decided by the
-    fields, so two equal instances (say, from constructors racing in two
-    threads) compare equal all the same.
+    Keys are interned: constructing a key with the fields of a live one
+    returns that instance, also when threads construct it at once. Two
+    objects therefore denote the same kitchen item iff their keys are the
+    same instance, and equality and hashing are identity.
     """
 
-    __slots__ = ("name", "states", "ingredients", "_hash", "__weakref__")
+    __slots__ = ("name", "states", "ingredients", "__weakref__")
 
     # canonical (name, states, ingredients) -> the live key for it; weak, so
     # a key nothing else references is dropped
     _interned: "weakref.WeakValueDictionary[tuple, ObjectKey]" = weakref.WeakValueDictionary()
+    _intern_lock = threading.Lock()  # taken only on a table miss
 
     def __new__(
         cls,
@@ -66,12 +66,14 @@ class ObjectKey:
         fields = (name, states, ingredients)
         key = cls._interned.get(fields)
         if key is None:
-            key = object.__new__(cls)
-            object.__setattr__(key, "name", name)
-            object.__setattr__(key, "states", states)
-            object.__setattr__(key, "ingredients", ingredients)
-            object.__setattr__(key, "_hash", hash(fields))
-            cls._interned[fields] = key
+            with cls._intern_lock:
+                key = cls._interned.get(fields)  # another thread may have won
+                if key is None:
+                    key = object.__new__(cls)
+                    object.__setattr__(key, "name", name)
+                    object.__setattr__(key, "states", states)
+                    object.__setattr__(key, "ingredients", ingredients)
+                    cls._interned[fields] = key
         return key
 
     def __reduce__(self):
@@ -86,18 +88,10 @@ class ObjectKey:
     def _fields(self) -> tuple:
         return (self.name, self.states, self.ingredients)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObjectKey):
-            return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
-
     def __lt__(self, other) -> bool:
         if not isinstance(other, ObjectKey):
             return NotImplemented
         return self._fields() < other._fields()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"ObjectKey({self.name!r}, states={list(self.states)}, ingredients={list(self.ingredients)})"

@@ -41,14 +41,9 @@ def _depth(graph: FoonGraph, kitchen: Kitchen, producer: dict, goal_key: ObjectK
     return depth[goal_key]
 
 
-def enumerate_resolutions(
-    graph: FoonGraph,
-    kitchen: Kitchen,
-    goal: GoalSpec,
-    max_units: int,
-) -> list[tuple[frozenset, int]]:
-    """All unit sets of size <= max_units that completely resolve the goal,
-    each paired with its minimum resolution depth.
+def enumerate_resolutions(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) -> list[tuple[frozenset, int]]:
+    """All unit sets that completely resolve the goal, each paired with its
+    minimum resolution depth.
 
     A resolution assigns every needed key either to the kitchen or to exactly
     one chosen unit; every chosen unit is actually used. Depth is the longest
@@ -82,17 +77,14 @@ def enumerate_resolutions(
             inputs = graph.units[pos].inputs
             if not path.isdisjoint(inputs):
                 continue
-            next_producer = {**producer, key: pos}
-            if len(set(next_producer.values())) > max_units:
-                continue
-            stack.append((pending[: top - 1] + tuple((ikey, path) for ikey in inputs), next_producer))
+            stack.append((pending[: top - 1] + tuple((ikey, path) for ikey in inputs), {**producer, key: pos}))
     return sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0]), item[1]))
 
 
 def _minima(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) -> tuple[int, int]:
     """Fewest units and smallest depth over all valid resolutions, from one
     enumeration; the two minima may come from different resolutions."""
-    resolutions = enumerate_resolutions(graph, kitchen, goal, max_units=len(graph))
+    resolutions = enumerate_resolutions(graph, kitchen, goal)
     if not resolutions:
         raise UnresolvableGoal(goal.target, "no-candidates")
     return min(len(units) for units, _ in resolutions), min(depth for _, depth in resolutions)

@@ -55,7 +55,7 @@ def test_criterion_1_oracle_equivalence(corpus_graph, corpus_kitchen, corpus_goa
     for graph, kitchen, goal, rates in _instances(
         corpus_graph, corpus_kitchen, corpus_goals, corpus_rates
     ):
-        resolutions = enumerate_resolutions(graph, kitchen, goal, len(graph))
+        resolutions = enumerate_resolutions(graph, kitchen, goal)
         results = _run_all(graph, kitchen, goal, rates)
         if resolutions:
             for name, tree in results.items():
@@ -110,7 +110,7 @@ def test_criterion_3_directional_reproduction(
     assert min(counts.values()) >= minimal_units(graph, fixture_kitchen, fixture_goal)
     sets = {frozenset(tree.steps) for tree in results.values()}
     oracle_sets = {
-        s for s, _ in enumerate_resolutions(graph, fixture_kitchen, fixture_goal, len(graph))
+        s for s, _ in enumerate_resolutions(graph, fixture_kitchen, fixture_goal)
     }
     assert sets <= oracle_sets
     print(f"\nPASS criterion 3 ({name}): counts {counts}")

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import foon
 from foon import oracle
 from foon.cli import main
 from foon.data import corpus_file, subgraph_paths
@@ -299,6 +303,32 @@ def test_compare_byte_identical_across_runs(runner, universal, corpus_paths):
     second = runner.invoke(main, args)
     assert first.exit_code == second.exit_code == 0
     assert first.stdout_bytes == second.stdout_bytes
+
+
+def test_output_byte_identical_across_hash_seeds(universal, corpus_paths, tmp_path):
+    # keys hash by address, and string hashes change with PYTHONHASHSEED, so
+    # only separate processes can show output that follows hash order
+    inputs = [universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
+    outputs = []
+    src = str(Path(foon.__file__).parents[1])
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out_dir = tmp_path / f"trees-{seed}"
+        runs = [
+            ["compare", *inputs, "--motion-rates", corpus_paths["motion.txt"], "--with-oracle", "--format", "csv"],
+            ["retrieve", *inputs, "--algo", "gbfs2", "--out-dir", str(out_dir)],
+        ]
+        results = [
+            subprocess.run([sys.executable, "-m", "foon.cli", *args], env=env, capture_output=True, timeout=120)
+            for args in runs
+        ]
+        written = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        outputs.append(([(r.returncode, r.stdout) for r in results], written))
+    streams, written = outputs[0]
+    assert [code for code, _ in streams] == [0, 0]
+    assert {Path(name).suffix for name in written} == {".txt", ".dot"}
+    assert outputs[0] == outputs[1]
 
 
 def test_depth_cap_env_var(runner, universal, corpus_paths, tmp_path):

@@ -4,6 +4,8 @@ import pickle
 import random
 import sys
 import threading
+import weakref
+from itertools import count
 
 import pytest
 from hypothesis import given
@@ -203,8 +205,8 @@ def test_graph_round_trips_through_pickle_and_deepcopy(corpus_graph):
 
 
 def test_keys_built_concurrently_stay_equal():
-    # a lost race in the intern table may leave two equal instances, never
-    # two unequal keys for one object
+    # the intern table is filled under a lock, so keys for one object built
+    # at once in many threads are one instance
     names = [f"race probe {i}" for i in range(200)]
     built: list[list[ObjectKey]] = []
 
@@ -230,3 +232,32 @@ def test_keys_built_concurrently_stay_equal():
             by_name.setdefault(key.name, set()).add(key)
     assert sorted(by_name) == sorted(names)
     assert all(len(keys) == 1 for keys in by_name.values())
+
+
+def test_racing_constructors_return_one_instance(monkeypatch):
+    # the first two table lookups wait for each other before they return, so
+    # both threads miss before either inserts; the loser must then find the
+    # winner's key
+    barrier = threading.Barrier(2)
+    lookups = count()
+
+    class RacingTable(weakref.WeakValueDictionary):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            if next(lookups) < 2:
+                try:
+                    barrier.wait(timeout=2)
+                except threading.BrokenBarrierError:
+                    pass  # one lookup at a time: nothing to race
+            return found
+
+    monkeypatch.setattr(ObjectKey, "_interned", RacingTable())
+    built: list[ObjectKey] = []
+    threads = [threading.Thread(target=lambda: built.append(ObjectKey("barrier probe"))) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    a, b = built
+    assert a is b

@@ -41,7 +41,7 @@ def ab_graph():
 def test_goal_in_kitchen():
     graph, _, goal = milk_chain()
     kitchen = Kitchen.of({goal.target})
-    assert enumerate_resolutions(graph, kitchen, goal, 2) == [(frozenset(), 0)]
+    assert enumerate_resolutions(graph, kitchen, goal) == [(frozenset(), 0)]
     assert minimal_units(graph, kitchen, goal) == 0
     assert minimal_depth(graph, kitchen, goal) == 0
 
@@ -49,14 +49,14 @@ def test_goal_in_kitchen():
 def test_two_unit_chain_single_resolution():
     graph, kitchen, goal = milk_chain()
     # hand enumeration of all four subsets: only {0, 1} resolves the goal
-    assert enumerate_resolutions(graph, kitchen, goal, 2) == [(frozenset({0, 1}), 2)]
+    assert enumerate_resolutions(graph, kitchen, goal) == [(frozenset({0, 1}), 2)]
     assert minimal_units(graph, kitchen, goal) == 2
     assert minimal_depth(graph, kitchen, goal) == 2
 
 
 def test_or_graph_two_singleton_resolutions():
     graph, kitchen, goal = ab_graph()
-    resolutions = enumerate_resolutions(graph, kitchen, goal, 2)
+    resolutions = enumerate_resolutions(graph, kitchen, goal)
     assert sorted(len(s) for s, _ in resolutions) == [1, 1]
     assert {s for s, _ in resolutions} == {frozenset({0}), frozenset({1})}
 
@@ -64,7 +64,7 @@ def test_or_graph_two_singleton_resolutions():
 def test_unresolvable_goal():
     graph, kitchen, _ = milk_chain()
     missing = GoalSpec(key_of("cake"))
-    assert enumerate_resolutions(graph, kitchen, missing, 2) == []
+    assert enumerate_resolutions(graph, kitchen, missing) == []
     with pytest.raises(UnresolvableGoal):
         minimal_units(graph, kitchen, missing)
     with pytest.raises(UnresolvableGoal):
@@ -74,12 +74,12 @@ def test_unresolvable_goal():
 def test_guard_refuses_huge_enumerations():
     graph, kitchen, goal = fan_graph(20)  # 2**20 resolutions
     with pytest.raises(TooLarge):
-        enumerate_resolutions(graph, kitchen, goal, len(graph))
+        enumerate_resolutions(graph, kitchen, goal)
 
 
 def test_deep_chain_enumerates_without_recursion_error():
     graph, kitchen, goal = chain_graph(600)
-    assert enumerate_resolutions(graph, kitchen, goal, len(graph)) == [(frozenset(range(0, 1200, 2)), 600)]
+    assert enumerate_resolutions(graph, kitchen, goal) == [(frozenset(range(0, 1200, 2)), 600)]
 
 
 def test_ladder_depth_is_computed_once_per_key():
@@ -89,14 +89,9 @@ def test_ladder_depth_is_computed_once_per_key():
     assert time.monotonic() - started < 1.0
 
 
-def test_max_units_bound_respected():
-    graph, kitchen, goal = milk_chain()
-    assert enumerate_resolutions(graph, kitchen, goal, 1) == []
-
-
 def test_matches_power_set_scan_on_corpus(corpus_graph, corpus_kitchen, corpus_goals):
     for goal in corpus_goals:
-        fast = enumerate_resolutions(corpus_graph, corpus_kitchen, goal, len(corpus_graph))
+        fast = enumerate_resolutions(corpus_graph, corpus_kitchen, goal)
         slow = brute_force_resolutions(corpus_graph, corpus_kitchen, goal)
         assert fast == slow
 
@@ -105,14 +100,14 @@ def test_matches_power_set_scan_on_random_graphs():
     rng = random.Random(20240917)
     for _ in range(25):
         graph, kitchen, goal, _ = random_instance(rng)
-        fast = enumerate_resolutions(graph, kitchen, goal, len(graph))
+        fast = enumerate_resolutions(graph, kitchen, goal)
         slow = brute_force_resolutions(graph, kitchen, goal)
         assert fast == slow
 
 
 def test_every_resolution_is_executable(corpus_graph, corpus_kitchen, corpus_goals):
     for goal in corpus_goals:
-        for units, _ in enumerate_resolutions(corpus_graph, corpus_kitchen, goal, len(corpus_graph)):
+        for units, _ in enumerate_resolutions(corpus_graph, corpus_kitchen, goal):
             steps = execution_order(corpus_graph, corpus_kitchen, goal, set(units))
             tree = TaskTree(steps, SearchStats(Algorithm.IDS))
             validate_task_tree(corpus_graph, corpus_kitchen, goal, tree)
