@@ -132,7 +132,10 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
     """Extract one task tree per goal and write .foon.txt + .dot files."""
     graph, kitchen, goals, rates = _load_inputs(universal, kitchen_file, goals_file, motion_rates)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(str(exc))
     failures = 0
     stems = set()
     for goal in goals:
@@ -149,8 +152,11 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
             suffix += 1
             stem = f"{base}_{suffix}"
         stems.add(stem)
-        (out / f"{stem}.foon.txt").write_text(write_task_tree(graph, tree), encoding="utf-8")
-        (out / f"{stem}.dot").write_text(to_dot(graph, tree), encoding="utf-8")
+        try:
+            (out / f"{stem}.foon.txt").write_text(write_task_tree(graph, tree), encoding="utf-8")
+            (out / f"{stem}.dot").write_text(to_dot(graph, tree), encoding="utf-8")
+        except OSError as exc:
+            _fail(str(exc))
         click.echo(f"{label}: {len(tree.steps)} units -> {stem}.foon.txt")
     if failures:
         sys.exit(1)

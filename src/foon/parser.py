@@ -62,84 +62,58 @@ class MotionRateTable:
 EMPTY_RATES = MotionRateTable({})
 
 
+# the one field an O, S or I line carries, as its error message names it
+_FIELD_NAMES = {"O": "name", "S": "state", "I": "ingredient"}
+
+
 def parse_subgraph(text: str) -> list[FunctionalUnit]:
     """Parse a subgraph file into its functional units, in file order."""
     units: list[FunctionalUnit] = []
-
-    # per-unit parse state
+    # [name, states, ingredients] per object of the section being read: the
+    # unit's inputs before its M line, its outputs after it
+    objects: list[list] = []
     inputs: list[ObjectKey] = []
-    outputs: list[ObjectKey] = []
     motion: MotionNode | None = None
-    name: str | None = None  # the open object, with its states and ingredients
-    states: list[str] = []
-    ingredients: list[str] = []
-    unit_open = False
-    last_line_no = 0
-
-    def close_object():
-        nonlocal name
-        if name is not None:
-            (outputs if motion is not None else inputs).append(ObjectKey(name, states, ingredients))
-            name = None
-
-    def close_unit(line_no: int):
-        nonlocal inputs, outputs, motion, unit_open
-        close_object()
-        if motion is None:
-            raise ParseError(line_no, "unit terminated without a motion line")
-        if not inputs:
-            raise ParseError(line_no, "unit has no input objects")
-        if not outputs:
-            raise ParseError(line_no, "unit has no output objects")
-        units.append(FunctionalUnit(inputs, motion, outputs))
-        inputs, outputs, motion, unit_open = [], [], None, False
-
+    line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line_no = line_no
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        if line.strip() == "//":
-            close_unit(line_no)
+        if line == "//":
+            if motion is None:
+                raise ParseError(line_no, "unit terminated without a motion line")
+            if not objects:
+                raise ParseError(line_no, "unit has no output objects")
+            units.append(FunctionalUnit(inputs, motion, [ObjectKey(*entry) for entry in objects]))
+            objects, motion = [], None
             continue
-        fields = line.split("\t")
+        fields = raw.split("\t")
         tag = fields[0]
-        if tag == "O":
-            if len(fields) != 2 or not fields[1].strip():
-                raise ParseError(line_no, "O line needs exactly one name field")
-            close_object()
-            unit_open = True
-            name, states, ingredients = fields[1], [], []
-        elif tag == "S":
-            if name is None:
-                raise ParseError(line_no, "S line without a preceding O line")
-            if len(fields) != 2 or not fields[1].strip():
-                raise ParseError(line_no, "S line needs exactly one state field")
-            states.append(fields[1])
-        elif tag == "I":
-            if name is None:
-                raise ParseError(line_no, "I line without a preceding O line")
-            if len(fields) != 2 or not fields[1].strip():
-                raise ParseError(line_no, "I line needs exactly one ingredient field")
-            ingredients.append(fields[1])
-        elif tag == "M":
-            if not unit_open:
-                raise ParseError(line_no, "M line before any object in the unit")
+        if tag == "M":
             if motion is not None:
                 raise ParseError(line_no, "second M line in one unit")
+            if not objects:
+                raise ParseError(line_no, "M line before any object in the unit")
             if len(fields) < 2 or len(fields) > 4 or not fields[1].strip():
                 raise ParseError(line_no, "M line needs a motion name and at most two timestamps")
-            close_object()
-            if not inputs:
-                raise ParseError(line_no, "unit has no input objects")
+            inputs, objects = [ObjectKey(*entry) for entry in objects], []
             start = fields[2] if len(fields) > 2 else None
             end = fields[3] if len(fields) > 3 else None
             motion = MotionNode(fields[1], start, end)
-        else:
+            continue
+        if tag not in _FIELD_NAMES:
             raise ParseError(line_no, f"unknown line tag {tag!r}")
+        if tag != "O" and not objects:
+            raise ParseError(line_no, f"{tag} line without a preceding O line")
+        if len(fields) != 2 or not fields[1].strip():
+            raise ParseError(line_no, f"{tag} line needs exactly one {_FIELD_NAMES[tag]} field")
+        if tag == "O":
+            objects.append([fields[1], [], []])
+        else:
+            objects[-1][1 if tag == "S" else 2].append(fields[1])
 
-    if unit_open or name is not None or motion is not None:
-        raise ParseError(last_line_no + 1, "unexpected end of file: unit missing '//' terminator")
+    if objects or motion is not None:
+        raise ParseError(line_no + 1, "unexpected end of file: unit missing '//' terminator")
     return units
 
 
@@ -176,7 +150,7 @@ def parse_motion_rates(text: str) -> MotionRateTable:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = raw.rstrip("\n").split("\t")
+        fields = raw.split("\t")
         if len(fields) != 2:
             raise ParseError(line_no, "expected motion-name<TAB>rate")
         name = fields[0].strip().lower()

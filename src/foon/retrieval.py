@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
+from typing import Iterable
 
 from .core import (
     Algorithm,
@@ -83,7 +84,7 @@ def execution_order(
     graph: FoonGraph,
     kitchen: Kitchen,
     goal: GoalSpec,
-    chosen: set[int],
+    chosen: Iterable[int],
 ) -> tuple[int, ...]:
     """Linearize a complete resolution into an executable step order.
 
@@ -200,7 +201,10 @@ def retrieve_ids(
     only if the goal is already in the kitchen. Each iteration restarts the
     depth-first search from scratch; ``stats.units_expanded`` accumulates
     across iterations and ``stats.final_depth_bound`` records the first bound
-    at which a full resolution exists.
+    at which the search finds a resolution. That bound can exceed the
+    minimal resolution depth: a key resolved once is reused wherever else it
+    is needed, and when a reuse sits too deep for the bound the search does
+    not go back to resolve that key through a shallower producer.
     """
     if depth_cap < 0:
         raise ValueError("depth_cap must be >= 0")
@@ -217,7 +221,7 @@ def retrieve_ids(
         producer, hit_bound = _backtrack(graph, kitchen.items, goal.target, options, stats, bound)
         if producer is not None:
             stats.final_depth_bound = bound
-            steps = execution_order(graph, kitchen, goal, set(producer.values()))
+            steps = execution_order(graph, kitchen, goal, producer.values())
             return TaskTree(steps, stats)
         if not hit_bound:
             # the bound never cut anything off, so deeper iterations would
@@ -275,5 +279,5 @@ def retrieve_gbfs(
         if not find_candidate_units(graph, target):
             raise UnresolvableGoal(target, "no-candidates")
         raise UnresolvableGoal(target, "dead-end")
-    steps = execution_order(graph, kitchen, goal, set(producer.values()))
+    steps = execution_order(graph, kitchen, goal, producer.values())
     return TaskTree(steps, stats)

@@ -1,7 +1,8 @@
 """Shared test utilities: graph builders, random generators, the
 independent brute-force resolution checker used to cross-examine both the
 oracle and the search algorithms, and the earlier implementations of
-``execution_order`` and of the two searches, kept as references."""
+``execution_order``, of the subgraph parser and of the two searches, kept as
+references."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from foon.core import (
     find_candidate_units,
     index_outputs,
 )
-from foon.parser import EMPTY_RATES, MotionRateTable
+from foon.parser import EMPTY_RATES, MotionRateTable, ParseError
 from foon.retrieval import (
     DEFAULT_DEPTH_CAP,
     CyclicResolution,
@@ -211,6 +212,92 @@ def naive_execution_order(graph, kitchen, goal, chosen):
         remaining.remove(ready)
         available.update(graph.units[ready].outputs)
     return tuple(steps)
+
+
+# The closure-based subgraph parser that ``foon.parser.parse_subgraph``
+# replaced, kept verbatim as the reference it must agree with on units and
+# on every ParseError's line and message.
+
+
+def reference_parse_subgraph(text: str) -> list[FunctionalUnit]:
+    """Parse a subgraph file into its functional units, in file order."""
+    units: list[FunctionalUnit] = []
+
+    # per-unit parse state
+    inputs: list[ObjectKey] = []
+    outputs: list[ObjectKey] = []
+    motion: MotionNode | None = None
+    name: str | None = None  # the open object, with its states and ingredients
+    states: list[str] = []
+    ingredients: list[str] = []
+    unit_open = False
+    last_line_no = 0
+
+    def close_object():
+        nonlocal name
+        if name is not None:
+            (outputs if motion is not None else inputs).append(ObjectKey(name, states, ingredients))
+            name = None
+
+    def close_unit(line_no: int):
+        nonlocal inputs, outputs, motion, unit_open
+        close_object()
+        if motion is None:
+            raise ParseError(line_no, "unit terminated without a motion line")
+        if not inputs:
+            raise ParseError(line_no, "unit has no input objects")
+        if not outputs:
+            raise ParseError(line_no, "unit has no output objects")
+        units.append(FunctionalUnit(inputs, motion, outputs))
+        inputs, outputs, motion, unit_open = [], [], None, False
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        last_line_no = line_no
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if line.strip() == "//":
+            close_unit(line_no)
+            continue
+        fields = line.split("\t")
+        tag = fields[0]
+        if tag == "O":
+            if len(fields) != 2 or not fields[1].strip():
+                raise ParseError(line_no, "O line needs exactly one name field")
+            close_object()
+            unit_open = True
+            name, states, ingredients = fields[1], [], []
+        elif tag == "S":
+            if name is None:
+                raise ParseError(line_no, "S line without a preceding O line")
+            if len(fields) != 2 or not fields[1].strip():
+                raise ParseError(line_no, "S line needs exactly one state field")
+            states.append(fields[1])
+        elif tag == "I":
+            if name is None:
+                raise ParseError(line_no, "I line without a preceding O line")
+            if len(fields) != 2 or not fields[1].strip():
+                raise ParseError(line_no, "I line needs exactly one ingredient field")
+            ingredients.append(fields[1])
+        elif tag == "M":
+            if not unit_open:
+                raise ParseError(line_no, "M line before any object in the unit")
+            if motion is not None:
+                raise ParseError(line_no, "second M line in one unit")
+            if len(fields) < 2 or len(fields) > 4 or not fields[1].strip():
+                raise ParseError(line_no, "M line needs a motion name and at most two timestamps")
+            close_object()
+            if not inputs:
+                raise ParseError(line_no, "unit has no input objects")
+            start = fields[2] if len(fields) > 2 else None
+            end = fields[3] if len(fields) > 3 else None
+            motion = MotionNode(fields[1], start, end)
+        else:
+            raise ParseError(line_no, f"unknown line tag {tag!r}")
+
+    if unit_open or name is not None or motion is not None:
+        raise ParseError(last_line_no + 1, "unexpected end of file: unit missing '//' terminator")
+    return units
 
 
 # The recursive IDS and GBFS that the iterative ``foon.retrieval`` engine

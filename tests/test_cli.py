@@ -144,6 +144,34 @@ def test_retrieve_json_goals_past_the_decoder_exit_2(runner, universal, corpus_p
     assert result.output.startswith("Error: ")
 
 
+def test_retrieve_out_dir_under_a_regular_file_exits_2(runner, universal, corpus_paths, tmp_path):
+    (tmp_path / "afile").write_text("")
+    out_dir = tmp_path / "afile" / "sub"
+    result = runner.invoke(
+        main,
+        ["retrieve", universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"],
+         "--algo", "gbfs2", "--out-dir", str(out_dir)],
+    )
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("Error: ")
+    assert str(out_dir) in result.output
+
+
+def test_retrieve_tree_path_taken_by_a_directory_exits_2(runner, universal, corpus_paths, tmp_path):
+    taken = tmp_path / "o" / "whipped_cream_gbfs2.foon.txt"
+    taken.mkdir(parents=True)
+    result = runner.invoke(
+        main,
+        ["retrieve", universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"],
+         "--algo", "gbfs2", "--out-dir", str(tmp_path / "o")],
+    )
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("Error: ")
+    assert str(taken) in result.output
+
+
 def test_retrieve_unknown_algo_usage_error(runner, universal, corpus_paths):
     result = runner.invoke(
         main,

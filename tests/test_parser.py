@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from foon.parser import (
     parse_subgraph,
     write_subgraph,
 )
-from helpers import key_of
+from helpers import key_of, reference_parse_subgraph
 
 ONE_UNIT = (
     "O\tcream\n"
@@ -71,6 +74,68 @@ def test_parse_errors_carry_line_numbers(text, bad_line):
     with pytest.raises(ParseError) as err:
         parse_subgraph(text)
     assert err.value.line_no == bad_line
+
+
+# every ParseError message parse_subgraph can raise; "unknown line tag" is
+# followed by the tag
+REACHABLE_MESSAGES = (
+    "unit terminated without a motion line",
+    "unit has no output objects",
+    "O line needs exactly one name field",
+    "S line without a preceding O line",
+    "S line needs exactly one state field",
+    "I line without a preceding O line",
+    "I line needs exactly one ingredient field",
+    "M line before any object in the unit",
+    "second M line in one unit",
+    "M line needs a motion name and at most two timestamps",
+    "unknown line tag",
+    "unexpected end of file: unit missing '//' terminator",
+)
+# lines spliced into corpus files; "S\t \n", "I\t \n" and "\r\n" add two
+CORPUS_SPLICES = ("O\t", "S\t \n", "I\t \n", "M\ta\tb\tc\td", "//", "#", "", "\t", "\r\n")
+SOUP_TOKENS = ("O\ta", "S\ta", "I\ta", "M\ta", "O", "S", "I", "M", "//", "#", "a", " ", "\t")
+
+
+def _spliced_corpus_file(rng, corpora):
+    """A corpus file with one to three lines deleted, inserted or replaced."""
+    lines = rng.choice(corpora).splitlines(keepends=True)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(lines) + 1)
+        edit = rng.choice(("delete", "insert", "replace"))
+        if edit != "insert":
+            del lines[pos : pos + 1]
+        if edit != "delete":
+            lines.insert(pos, rng.choice(CORPUS_SPLICES) + "\n")
+    return "".join(lines)
+
+
+def _token_soup(rng):
+    """One to eight lines of one or two tokens each."""
+    lines = ("".join(rng.choices(SOUP_TOKENS, k=rng.randint(1, 2))) for _ in range(rng.randint(1, 8)))
+    return rng.choice(("\n", "\r\n")).join(lines)
+
+
+def _outcome(parse, text):
+    # motion compared whole: unit equality ignores its timestamps
+    try:
+        return [(u.inputs, u.motion, u.outputs) for u in parse(text)]
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+def test_parse_subgraph_matches_reference_on_corrupted_input():
+    rng = random.Random(8)
+    corpora = [path.read_text() for path in subgraph_paths()]
+    hits = Counter()
+    for draw in range(10_000):
+        text = _spliced_corpus_file(rng, corpora) if draw % 2 else _token_soup(rng)
+        expected = _outcome(reference_parse_subgraph, text)
+        assert _outcome(parse_subgraph, text) == expected, text
+        if isinstance(expected, tuple):
+            message = expected[1].split(": ", 1)[1]
+            hits[next(m for m in REACHABLE_MESSAGES if message.startswith(m))] += 1
+    assert {m: hits[m] for m in REACHABLE_MESSAGES if hits[m] < 20} == {}
 
 
 def test_write_empty():
