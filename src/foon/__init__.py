@@ -9,7 +9,6 @@ from .core import (
     FoonGraph,
     FunctionalUnit,
     GoalSpec,
-    Kitchen,
     MotionNode,
     ObjectKey,
     SearchStats,
@@ -22,7 +21,6 @@ from .export import to_dot, write_task_tree
 from .merge import MergeResult, merge_subgraphs
 from .oracle import TooLarge, enumerate_resolutions, minimal_depth, minimal_units
 from .parser import (
-    MotionRateTable,
     ParseError,
     ParseWarning,
     SchemaError,
@@ -55,10 +53,8 @@ __all__ = [
     "FunctionalUnit",
     "GoalSpec",
     "HeuristicId",
-    "Kitchen",
     "MergeResult",
     "MotionNode",
-    "MotionRateTable",
     "ObjectKey",
     "ParseError",
     "ParseWarning",

@@ -21,7 +21,6 @@ from .core import FoonError, GoalSpec, TaskTree
 from .export import to_dot, write_task_tree
 from .merge import merge_subgraphs
 from .parser import (
-    EMPTY_RATES,
     parse_goal_nodes,
     parse_kitchen,
     parse_motion_rates,
@@ -68,7 +67,7 @@ def _load_inputs(universal: str, kitchen_file: str, goals_file: str, rates_file:
         graph = _load_graph(universal)
         kitchen = parse_kitchen(_read(kitchen_file))
         goals = parse_goal_nodes(_read(goals_file))
-        rates = EMPTY_RATES if rates_file is None else parse_motion_rates(_read(rates_file))
+        rates = {} if rates_file is None else parse_motion_rates(_read(rates_file))
     except FoonError as exc:
         _fail(str(exc))
     return graph, kitchen, goals, rates

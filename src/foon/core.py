@@ -3,7 +3,8 @@ indexed universal graph.
 
 An object has one type, :class:`ObjectKey`, which canonicalizes its fields
 and is its own identity: a unit's ``inputs`` and ``outputs`` are tuples of
-keys, and graph indexes, kitchens and goals hold the same keys. Keys are
+keys, and graph indexes and goals hold the same keys. A kitchen, the set of
+objects on hand before execution, is a plain ``frozenset`` of keys. Keys are
 interned under a lock, so there is one instance per distinct key in a
 process, and key equality and hashing are ``object``'s identity versions.
 
@@ -224,20 +225,6 @@ def find_candidate_units(graph: FoonGraph, needed: ObjectKey) -> tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class Kitchen:
-    """The set of object keys assumed available before execution."""
-
-    items: frozenset[ObjectKey]
-
-    @classmethod
-    def of(cls, keys: Iterable[ObjectKey]) -> "Kitchen":
-        return cls(frozenset(keys))
-
-    def __contains__(self, key: ObjectKey) -> bool:
-        return key in self.items
-
-
-@dataclass(frozen=True)
 class GoalSpec:
     """A retrieval target, canonicalized like any other object."""
 
@@ -287,7 +274,7 @@ class TaskTree:
 
 
 def validate_task_tree(
-    graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec, tree: TaskTree
+    graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec, tree: TaskTree
 ) -> None:
     """Independent executability check; raises ValueError on any violation.
 
@@ -298,7 +285,7 @@ def validate_task_tree(
     """
     if len(set(tree.steps)) != len(tree.steps):
         raise ValueError("task tree repeats a unit")
-    available = set(kitchen.items)
+    available = set(kitchen)
     for pos in tree.steps:
         unit = graph.units[pos]
         for key in unit.inputs:

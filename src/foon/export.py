@@ -18,6 +18,7 @@ INPUT_COLOR = "green"
 OUTPUT_COLOR = "purple"
 BOTH_COLOR = "blue"
 MOTION_COLOR = "red"
+_OBJECT_COLORS = {1: INPUT_COLOR, 2: OUTPUT_COLOR, 3: BOTH_COLOR}  # by role bits
 
 
 def write_task_tree(graph: FoonGraph, tree: TaskTree) -> str:
@@ -27,41 +28,29 @@ def write_task_tree(graph: FoonGraph, tree: TaskTree) -> str:
     return header + write_subgraph(units)
 
 
-def _key_id(key: ObjectKey) -> str:
-    digest = hashlib.sha1(str(key).encode("utf-8")).hexdigest()[:10]
-    return f"obj_{digest}"
-
-
 def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(graph: FoonGraph, tree: Optional[TaskTree] = None) -> str:
     """Render the graph (or just the tree's units) as a DOT digraph."""
-    if tree is not None:
-        positions = list(tree.steps)
-    else:
-        positions = list(range(len(graph.units)))
+    positions = range(len(graph.units)) if tree is None else tree.steps
 
-    input_keys: set[ObjectKey] = set()
-    output_keys: set[ObjectKey] = set()
+    roles: dict[ObjectKey, int] = {}  # bit 1: an input of some unit, bit 2: an output
     for pos in positions:
         unit = graph.units[pos]
-        input_keys.update(unit.inputs)
-        output_keys.update(unit.outputs)
-
-    def object_color(key: ObjectKey) -> str:
-        if key in input_keys and key in output_keys:
-            return BOTH_COLOR
-        if key in input_keys:
-            return INPUT_COLOR
-        return OUTPUT_COLOR
+        for key in unit.inputs:
+            roles[key] = roles.get(key, 0) | 1
+        for key in unit.outputs:
+            roles[key] = roles.get(key, 0) | 2
 
     lines = ["digraph foon {"]
-    for key in sorted(input_keys | output_keys):
-        lines.append(
-            f"  {_key_id(key)} [label={_quote(str(key))} shape=ellipse color={object_color(key)}];"
-        )
+    ids: dict[ObjectKey, str] = {}
+    for key in sorted(roles):
+        label = str(key)
+        ids[key] = "obj_" + hashlib.sha1(label.encode("utf-8")).hexdigest()[:10]
+        color = _OBJECT_COLORS[roles[key]]
+        lines.append(f"  {ids[key]} [label={_quote(label)} shape=ellipse color={color}];")
     for pos in positions:
         unit = graph.units[pos]
         motion_id = f"u{pos}_motion"
@@ -69,8 +58,8 @@ def to_dot(graph: FoonGraph, tree: Optional[TaskTree] = None) -> str:
             f"  {motion_id} [label={_quote(unit.motion.name)} shape=square color={MOTION_COLOR}];"
         )
         for key in unit.inputs:
-            lines.append(f"  {_key_id(key)} -> {motion_id};")
+            lines.append(f"  {ids[key]} -> {motion_id};")
         for key in unit.outputs:
-            lines.append(f"  {motion_id} -> {_key_id(key)};")
+            lines.append(f"  {motion_id} -> {ids[key]};")
     lines.append("}")
     return "".join(line + "\n" for line in lines)

@@ -10,7 +10,7 @@ recursion limit, and it gives up with :class:`TooLarge` once it has visited
 
 from __future__ import annotations
 
-from .core import FoonError, FoonGraph, GoalSpec, Kitchen, ObjectKey, find_candidate_units
+from .core import FoonError, FoonGraph, GoalSpec, ObjectKey, find_candidate_units
 from .retrieval import UnresolvableGoal
 
 
@@ -21,14 +21,14 @@ class TooLarge(FoonError):
 MAX_STATES = 10**4
 
 
-def _depth(graph: FoonGraph, kitchen: Kitchen, producer: dict, goal_key: ObjectKey) -> int:
+def _depth(graph: FoonGraph, kitchen: frozenset[ObjectKey], producer: dict, goal_key: ObjectKey) -> int:
     """Longest chain of unit hops from the goal down to a kitchen item under
     one complete, acyclic producer assignment; each key is computed once."""
     depth: dict[ObjectKey, int] = {}
     stack = [goal_key]
     while stack:
         key = stack[-1]
-        if key in kitchen.items:
+        if key in kitchen:
             depth[key] = 0
         elif key not in depth:
             inputs = graph.units[producer[key]].inputs
@@ -41,7 +41,9 @@ def _depth(graph: FoonGraph, kitchen: Kitchen, producer: dict, goal_key: ObjectK
     return depth[goal_key]
 
 
-def enumerate_resolutions(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) -> list[tuple[frozenset, int]]:
+def enumerate_resolutions(
+    graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec
+) -> list[tuple[frozenset, int]]:
     """All unit sets that completely resolve the goal, each paired with its
     minimum resolution depth.
 
@@ -51,8 +53,6 @@ def enumerate_resolutions(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) ->
     duplicate-free, sorted for determinism. Raises :class:`TooLarge` when the
     enumeration pops more than ``MAX_STATES`` states off its stack.
     """
-    if goal.target in kitchen.items:
-        return [(frozenset(), 0)]
     found: dict[frozenset, int] = {}
     # a state is (pending (key, path) pairs, producer map); neither is mutated once pushed
     stack = [(((goal.target, frozenset()),), {})]
@@ -63,7 +63,7 @@ def enumerate_resolutions(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) ->
             raise TooLarge(f"enumeration passed {MAX_STATES} states")
         pending, producer = stack.pop()
         top = len(pending)
-        while top and (pending[top - 1][0] in kitchen.items or pending[top - 1][0] in producer):
+        while top and (pending[top - 1][0] in kitchen or pending[top - 1][0] in producer):
             top -= 1
         if not top:
             units = frozenset(producer.values())
@@ -81,7 +81,7 @@ def enumerate_resolutions(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) ->
     return sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0]), item[1]))
 
 
-def _minima(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) -> tuple[int, int]:
+def _minima(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec) -> tuple[int, int]:
     """Fewest units and smallest depth over all valid resolutions, from one
     enumeration; the two minima may come from different resolutions."""
     resolutions = enumerate_resolutions(graph, kitchen, goal)
@@ -90,11 +90,11 @@ def _minima(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) -> tuple[int, in
     return min(len(units) for units, _ in resolutions), min(depth for _, depth in resolutions)
 
 
-def minimal_units(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) -> int:
+def minimal_units(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec) -> int:
     """Fewest units any valid resolution needs."""
     return _minima(graph, kitchen, goal)[0]
 
 
-def minimal_depth(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec) -> int:
+def minimal_depth(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec) -> int:
     """Smallest resolution depth over all valid resolutions."""
     return _minima(graph, kitchen, goal)[1]

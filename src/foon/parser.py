@@ -7,23 +7,25 @@ Four formats live here:
   lines attach to it; ``M<TAB>motion[<TAB>start[<TAB>end]]`` closes the input
   section and starts the outputs; ``//`` on its own line ends the unit.
   ``#`` lines are comments, blank lines are ignored.
-* ``motion.txt``: one ``motion-name<TAB>rate`` per line, rate in [0, 1].
+  No field may hold a tab or a line break.
+* ``motion.txt``: one ``motion-name<TAB>rate`` per line, rate in [0, 1];
+  read into a ``dict``.
 * ``goal_nodes.json`` / ``kitchen.json``: a JSON array of objects with
-  fields ``object`` (required), ``states`` and ``ingredients`` (optional).
+  fields ``object`` (required), ``states`` and ``ingredients`` (optional);
+  a kitchen is read into a ``frozenset`` of keys.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
     FoonError,
     FunctionalUnit,
     GoalSpec,
-    Kitchen,
     MotionNode,
     ObjectKey,
 )
@@ -49,18 +51,9 @@ class ParseWarning(UserWarning):
     """Non-fatal oddity in an input file (duplicate entries etc.)."""
 
 
-@dataclass(frozen=True)
-class MotionRateTable:
-    """Motion name -> success rate in [0, 1]."""
-
-    rates: dict
-
-    def get(self, motion_name: str, default: float = 0.0) -> float:
-        return self.rates.get(motion_name, default)
-
-
-EMPTY_RATES = MotionRateTable({})
-
+# a tab, or any character str.splitlines() breaks a line at: a field holding
+# one would not parse back as one field
+_UNWRITABLE = re.compile("[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029]")
 
 # the one field an O, S or I line carries, as its error message names it
 _FIELD_NAMES = {"O": "name", "S": "state", "I": "ingredient"}
@@ -117,34 +110,40 @@ def parse_subgraph(text: str) -> list[FunctionalUnit]:
     return units
 
 
+def _refuse_breaks(pos: int, fields: Sequence[str]) -> None:
+    for field in fields:
+        if _UNWRITABLE.search(field):
+            raise ValueError(f"unit {pos}: field {field!r} holds a tab or line break")
+
+
 def write_subgraph(units: Sequence[FunctionalUnit]) -> str:
-    """Serialize units to the subgraph format; inverse of :func:`parse_subgraph`."""
-    lines: list[str] = []
+    """Serialize units to the subgraph format; inverse of :func:`parse_subgraph`.
 
-    def emit_object(key: ObjectKey):
-        lines.append(f"O\t{key.name}")
-        for state in key.states:
-            lines.append(f"S\t{state}")
-        for ingredient in key.ingredients:
-            lines.append(f"I\t{ingredient}")
+    Raises ``ValueError`` naming the unit when a field it would write holds a
+    tab or a line break, since that text would not parse back to the unit.
+    """
+    chunks: list[str] = []
+    objects: dict[ObjectKey, str] = {}  # each key's O, S and I lines, built once
+    for pos, unit in enumerate(units):
+        for key in unit.inputs + unit.outputs:
+            if key not in objects:
+                fields = (key.name, *key.states, *key.ingredients)
+                _refuse_breaks(pos, fields)
+                tags = "O" + "S" * len(key.states) + "I" * len(key.ingredients)
+                objects[key] = "".join(f"{tag}\t{field}\n" for tag, field in zip(tags, fields))
+        motion = unit.motion
+        # MotionNode never has an end time without a start time
+        motion_fields = [motion.name, *(t for t in (motion.start_time, motion.end_time) if t is not None)]
+        _refuse_breaks(pos, motion_fields)
+        chunks += [objects[key] for key in unit.inputs]
+        chunks.append("\t".join(["M", *motion_fields]) + "\n")
+        chunks += [objects[key] for key in unit.outputs]
+        chunks.append("//\n")
+    return "".join(chunks)
 
-    for unit in units:
-        for key in unit.inputs:
-            emit_object(key)
-        motion_line = f"M\t{unit.motion.name}"
-        if unit.motion.start_time is not None:
-            motion_line += f"\t{unit.motion.start_time}"
-            if unit.motion.end_time is not None:
-                motion_line += f"\t{unit.motion.end_time}"
-        lines.append(motion_line)
-        for key in unit.outputs:
-            emit_object(key)
-        lines.append("//")
-    return "".join(line + "\n" for line in lines)
 
-
-def parse_motion_rates(text: str) -> MotionRateTable:
-    """Parse a ``motion.txt`` success-rate table."""
+def parse_motion_rates(text: str) -> dict[str, float]:
+    """Parse a ``motion.txt`` success-rate table into motion name -> rate."""
     rates: dict[str, float] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -165,7 +164,7 @@ def parse_motion_rates(text: str) -> MotionRateTable:
         if name in rates:
             warnings.warn(ParseWarning(f"line {line_no}: duplicate rate for {name!r} overrides earlier value"))
         rates[name] = rate
-    return MotionRateTable(rates)
+    return rates
 
 
 def _parse_object_entries(text: str) -> list[ObjectKey]:
@@ -208,14 +207,12 @@ def parse_goal_nodes(text: str) -> list[GoalSpec]:
     return [GoalSpec(key) for key in _parse_object_entries(text)]
 
 
-def parse_kitchen(text: str) -> Kitchen:
-    """Parse ``kitchen.json``; duplicate items collapse with a warning."""
-    keys = []
+def parse_kitchen(text: str) -> frozenset[ObjectKey]:
+    """Parse ``kitchen.json`` into the set of keys on hand; duplicate items
+    collapse with a warning."""
     seen = set()
     for key in _parse_object_entries(text):
         if key in seen:
             warnings.warn(ParseWarning(f"duplicate kitchen item {key} collapsed"))
-            continue
         seen.add(key)
-        keys.append(key)
-    return Kitchen.of(keys)
+    return frozenset(seen)

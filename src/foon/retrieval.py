@@ -14,6 +14,9 @@ candidate units to try for a needed key, in order:
   success rate, maximized, or input-object + ingredient count, minimized),
   logging each choice, with no bound.
 
+Both take the kitchen as a ``frozenset`` of keys and motion success rates as
+a mapping of motion name to rate, so this module needs only :mod:`foon.core`.
+
 Both prune any candidate whose inputs include a key already on the active
 resolution path, which guarantees termination on cyclic graphs. A needed key
 is produced by at most one unit per resolution, so shared intermediates are
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .core import (
     Algorithm,
@@ -34,13 +38,11 @@ from .core import (
     FoonGraph,
     FunctionalUnit,
     GoalSpec,
-    Kitchen,
     ObjectKey,
     SearchStats,
     TaskTree,
     find_candidate_units,
 )
-from .parser import EMPTY_RATES, MotionRateTable
 
 DEFAULT_DEPTH_CAP = 100
 
@@ -69,7 +71,7 @@ class CyclicResolution(FoonError):
     """The chosen units admit no executable linear order."""
 
 
-def heuristic_success_rate(unit: FunctionalUnit, rates: MotionRateTable) -> float:
+def heuristic_success_rate(unit: FunctionalUnit, rates: Mapping[str, float]) -> float:
     """Success rate of the unit's motion; unknown motions default to 0.0 so
     they never beat a known rate."""
     return rates.get(unit.motion.name, 0.0)
@@ -82,8 +84,7 @@ def heuristic_input_count(unit: FunctionalUnit) -> int:
 
 def execution_order(
     graph: FoonGraph,
-    kitchen: Kitchen,
-    goal: GoalSpec,
+    kitchen: frozenset[ObjectKey],
     chosen: Iterable[int],
 ) -> tuple[int, ...]:
     """Linearize a complete resolution into an executable step order.
@@ -97,12 +98,11 @@ def execution_order(
     O(E log V) time for E input edges over V chosen units.
     """
     units = graph.units
-    items = kitchen.items
     missing: dict[int, int] = {}  # unit -> distinct inputs not yet available
     waiting: dict[ObjectKey, list[int]] = {}  # key -> units missing it
     ready: list[int] = []
     for pos in set(chosen):
-        needs = {key for key in units[pos].inputs if key not in items}
+        needs = {key for key in units[pos].inputs if key not in kitchen}
         if needs:
             missing[pos] = len(needs)
             for key in needs:
@@ -129,9 +129,9 @@ def execution_order(
 
 
 def _backtrack(
-    graph: FoonGraph, items: frozenset, target: ObjectKey, options, stats: SearchStats, bound: int | None = None
+    graph: FoonGraph, kitchen: frozenset, target: ObjectKey, options, stats: SearchStats, bound: int | None = None
 ) -> tuple[dict[ObjectKey, int] | None, bool]:
-    """Resolve ``target`` from the kitchen ``items``, trying the units that
+    """Resolve ``target`` from the ``kitchen`` keys, trying the units that
     ``options(key, path)`` yields for each needed key, where ``path`` is the
     set of keys being resolved, ``key`` included.
 
@@ -150,7 +150,7 @@ def _backtrack(
     key, level = target, 0
     while True:
         # settle the needed key, or open a frame for it
-        if key in items:
+        if key in kitchen:
             ok = True
         elif key in producer:  # reuse a finished subtree if it fits the bound
             ok = bound is None or level + height[key] <= bound
@@ -191,7 +191,7 @@ def _backtrack(
 
 def retrieve_ids(
     graph: FoonGraph,
-    kitchen: Kitchen,
+    kitchen: frozenset[ObjectKey],
     goal: GoalSpec,
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> TaskTree:
@@ -218,11 +218,10 @@ def retrieve_ids(
                 yield pos
 
     for bound in range(depth_cap + 1):
-        producer, hit_bound = _backtrack(graph, kitchen.items, goal.target, options, stats, bound)
+        producer, hit_bound = _backtrack(graph, kitchen, goal.target, options, stats, bound)
         if producer is not None:
             stats.final_depth_bound = bound
-            steps = execution_order(graph, kitchen, goal, producer.values())
-            return TaskTree(steps, stats)
+            return TaskTree(execution_order(graph, kitchen, producer.values()), stats)
         if not hit_bound:
             # the bound never cut anything off, so deeper iterations would
             # explore the identical tree and fail the same way
@@ -233,10 +232,10 @@ def retrieve_ids(
 
 def retrieve_gbfs(
     graph: FoonGraph,
-    kitchen: Kitchen,
+    kitchen: frozenset[ObjectKey],
     goal: GoalSpec,
     heuristic: HeuristicId,
-    rates: MotionRateTable = EMPTY_RATES,
+    rates: Mapping[str, float] = MappingProxyType({}),
 ) -> TaskTree:
     """Greedy best-first retrieval with ordered backtracking.
 
@@ -252,32 +251,25 @@ def retrieve_gbfs(
     units = graph.units
     target = goal.target
 
-    def score(unit: FunctionalUnit) -> float:
-        stats.candidate_evaluations += 1
-        if minimize:
-            return float(heuristic_input_count(unit))
-        return heuristic_success_rate(unit, rates)
+    # min and max both return the first best candidate: ties go to the lowest unit
+    if minimize:
+        best, score = min, lambda unit: float(heuristic_input_count(unit))
+    else:
+        best, score = max, lambda unit: heuristic_success_rate(unit, rates)
 
     def options(key: ObjectKey, path: set):
         alive = [pos for pos in find_candidate_units(graph, key) if path.isdisjoint(units[pos].inputs)]
-        scores = {pos: score(units[pos]) for pos in alive}
+        scores = [score(units[pos]) for pos in alive]
+        stats.candidate_evaluations += len(alive)
         while alive:
-            best = min(alive, key=lambda pos: (scores[pos] if minimize else -scores[pos], pos))
-            stats.decision_log.append(
-                Decision(
-                    needed=key,
-                    candidates=tuple(alive),
-                    chosen=best,
-                    scores=tuple(scores[pos] for pos in alive),
-                )
-            )
-            yield best
-            alive.remove(best)
+            i = best(range(len(alive)), key=scores.__getitem__)
+            stats.decision_log.append(Decision(key, tuple(alive), alive[i], tuple(scores)))
+            yield alive[i]
+            del alive[i], scores[i]
 
-    producer, _ = _backtrack(graph, kitchen.items, target, options, stats)
+    producer, _ = _backtrack(graph, kitchen, target, options, stats)
     if producer is None:
         if not find_candidate_units(graph, target):
             raise UnresolvableGoal(target, "no-candidates")
         raise UnresolvableGoal(target, "dead-end")
-    steps = execution_order(graph, kitchen, goal, producer.values())
-    return TaskTree(steps, stats)
+    return TaskTree(execution_order(graph, kitchen, producer.values()), stats)

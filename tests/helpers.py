@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Mapping
 
 from foon.core import (
     Algorithm,
@@ -15,7 +16,6 @@ from foon.core import (
     FoonGraph,
     FunctionalUnit,
     GoalSpec,
-    Kitchen,
     MotionNode,
     ObjectKey,
     SearchStats,
@@ -23,7 +23,7 @@ from foon.core import (
     find_candidate_units,
     index_outputs,
 )
-from foon.parser import EMPTY_RATES, MotionRateTable, ParseError
+from foon.parser import ParseError
 from foon.retrieval import (
     DEFAULT_DEPTH_CAP,
     CyclicResolution,
@@ -64,7 +64,7 @@ def chain_graph(depth, with_decoys=True):
         if with_decoys:
             specs.append(([f"dead{i}"], f"m{i}x", [f"g{i}"]))
     graph = build_graph(specs)
-    kitchen = Kitchen.of({key_of(f"g{depth}")})
+    kitchen = frozenset({key_of(f"g{depth}")})
     return graph, kitchen, GoalSpec(key_of("g0"))
 
 
@@ -76,7 +76,7 @@ def ladder_graph(levels):
     for i in range(levels):
         for name in (f"a{i}", f"b{i}"):
             specs.append(([f"a{i + 1}", f"b{i + 1}"], f"m{name}", [name]))
-    kitchen = Kitchen.of({key_of(f"a{levels}"), key_of(f"b{levels}")})
+    kitchen = frozenset({key_of(f"a{levels}"), key_of(f"b{levels}")})
     return build_graph(specs), kitchen, GoalSpec(key_of("a0"))
 
 
@@ -86,7 +86,7 @@ def fan_graph(width):
     specs = [([f"k{i}" for i in range(width)], "mix", ["g0"])]
     for i in range(width):
         specs += [(["x"], f"m{i}", [f"k{i}"]), (["x"], f"m{i}y", [f"k{i}"])]
-    return build_graph(specs), Kitchen.of({key_of("x")}), GoalSpec(key_of("g0"))
+    return build_graph(specs), frozenset({key_of("x")}), GoalSpec(key_of("g0"))
 
 
 def random_instance(rng: random.Random, max_units=12, max_branching=3):
@@ -110,9 +110,9 @@ def random_instance(rng: random.Random, max_units=12, max_branching=3):
                 seen.add(u)
                 units.append(u)
     graph = index_outputs(units)
-    kitchen = Kitchen.of({key_of(n) for n in names if rng.random() < 0.35})
+    kitchen = frozenset({key_of(n) for n in names if rng.random() < 0.35})
     goal = GoalSpec(key_of(names[0]))
-    rates = MotionRateTable({m: round(rng.random(), 2) for m in motions if rng.random() < 0.8})
+    rates = {m: round(rng.random(), 2) for m in motions if rng.random() < 0.8}
     return graph, kitchen, goal, rates
 
 
@@ -140,7 +140,7 @@ def _assignment_depth(graph, kitchen, producer, goal_key):
         return None
 
 
-def brute_force_resolutions(graph: FoonGraph, kitchen: Kitchen, goal: GoalSpec):
+def brute_force_resolutions(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec):
     """Power-set scan: every unit subset that is exactly the support of some
     acyclic consistent assignment resolving the goal, with its minimum depth.
 
@@ -188,11 +188,11 @@ def _all_assignments(graph, kitchen, goal_key, allowed):
     return out
 
 
-def naive_execution_order(graph, kitchen, goal, chosen):
+def naive_execution_order(graph, kitchen, chosen):
     """The scan-based ordering that ``execution_order`` replaced, kept as the
     reference it must agree with: rescans the remaining units after every
     step for the lowest-index one whose inputs are all available."""
-    available = set(kitchen.items)
+    available = set(kitchen)
     remaining = sorted(set(chosen))
     steps: list[int] = []
     while remaining:
@@ -331,7 +331,7 @@ class _Resolution:
 
 def recursive_retrieve_ids(
     graph: FoonGraph,
-    kitchen: Kitchen,
+    kitchen: frozenset[ObjectKey],
     goal: GoalSpec,
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> TaskTree:
@@ -390,7 +390,7 @@ def recursive_retrieve_ids(
 
         if resolve(target, 0, frozenset()):
             stats.final_depth_bound = bound
-            steps = execution_order(graph, kitchen, goal, resolution.chosen_units())
+            steps = execution_order(graph, kitchen, resolution.chosen_units())
             return TaskTree(steps, stats)
         if not hit_bound:
             # the bound never cut anything off, so deeper iterations would
@@ -402,10 +402,10 @@ def recursive_retrieve_ids(
 
 def recursive_retrieve_gbfs(
     graph: FoonGraph,
-    kitchen: Kitchen,
+    kitchen: frozenset[ObjectKey],
     goal: GoalSpec,
     heuristic: HeuristicId,
-    rates: MotionRateTable = EMPTY_RATES,
+    rates: Mapping[str, float] = {},
 ) -> TaskTree:
     """Greedy best-first retrieval with ordered backtracking.
 
@@ -462,7 +462,7 @@ def recursive_retrieve_gbfs(
         if not find_candidate_units(graph, target):
             raise UnresolvableGoal(target, "no-candidates")
         raise UnresolvableGoal(target, "dead-end")
-    steps = execution_order(graph, kitchen, goal, resolution.chosen_units())
+    steps = execution_order(graph, kitchen, resolution.chosen_units())
     return TaskTree(steps, stats)
 
 

@@ -145,7 +145,7 @@ def test_criterion_5_merge_idempotence(corpus_subgraphs):
 
 def test_criterion_6_cycle_termination():
     from helpers import build_graph, key_of
-    from foon.core import GoalSpec, Kitchen
+    from foon.core import GoalSpec
 
     graph = build_graph(
         [
@@ -154,7 +154,7 @@ def test_criterion_6_cycle_termination():
             (["a"], "m3", ["c"]),
         ]
     )
-    kitchen = Kitchen.of(set())
+    kitchen = frozenset(set())
     goal = GoalSpec(key_of("a"))
     started = time.monotonic()
     outcomes = []

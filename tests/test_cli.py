@@ -254,7 +254,7 @@ def _write_instance(tmp_path, graph, kitchen, goal):
     universal = tmp_path / "graph.foon.txt"
     universal.write_text(write_subgraph(graph.units))
     kitchen_file = tmp_path / "kitchen.json"
-    kitchen_file.write_text(json.dumps([{"object": key.name} for key in kitchen.items]))
+    kitchen_file.write_text(json.dumps([{"object": key.name} for key in kitchen]))
     goals_file = tmp_path / "goals.json"
     goals_file.write_text(json.dumps([{"object": goal.target.name}]))
     return str(universal), str(kitchen_file), str(goals_file)

@@ -178,7 +178,7 @@ def test_parsers_share_one_key_per_object():
     goal = parse_goal_nodes('[{"object": " CREAM ", "states": ["Whipped"]}]')[0]
     (raw,) = units[0].inputs
     (whipped,) = units[0].outputs
-    assert next(iter(kitchen.items)) is raw
+    assert next(iter(kitchen)) is raw
     assert goal.target is whipped
 
 

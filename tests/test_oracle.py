@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from foon.core import Algorithm, GoalSpec, Kitchen, SearchStats, TaskTree, validate_task_tree
+from foon.core import Algorithm, GoalSpec, SearchStats, TaskTree, validate_task_tree
 from foon.oracle import TooLarge, enumerate_resolutions, minimal_depth, minimal_units
 from foon.retrieval import UnresolvableGoal, execution_order, retrieve_ids
 from helpers import (
@@ -24,7 +24,7 @@ def milk_chain():
             (["milk"], "skim", ["cream"]),
         ]
     )
-    return graph, Kitchen.of({key_of("milk")}), GoalSpec(key_of("whipped cream"))
+    return graph, frozenset({key_of("milk")}), GoalSpec(key_of("whipped cream"))
 
 
 def ab_graph():
@@ -34,13 +34,13 @@ def ab_graph():
             (["r"], "mash", ["goal"]),
         ]
     )
-    kitchen = Kitchen.of({key_of("p"), key_of("q"), key_of("r")})
+    kitchen = frozenset({key_of("p"), key_of("q"), key_of("r")})
     return graph, kitchen, GoalSpec(key_of("goal"))
 
 
 def test_goal_in_kitchen():
     graph, _, goal = milk_chain()
-    kitchen = Kitchen.of({goal.target})
+    kitchen = frozenset({goal.target})
     assert enumerate_resolutions(graph, kitchen, goal) == [(frozenset(), 0)]
     assert minimal_units(graph, kitchen, goal) == 0
     assert minimal_depth(graph, kitchen, goal) == 0
@@ -108,7 +108,7 @@ def test_matches_power_set_scan_on_random_graphs():
 def test_every_resolution_is_executable(corpus_graph, corpus_kitchen, corpus_goals):
     for goal in corpus_goals:
         for units, _ in enumerate_resolutions(corpus_graph, corpus_kitchen, goal):
-            steps = execution_order(corpus_graph, corpus_kitchen, goal, set(units))
+            steps = execution_order(corpus_graph, corpus_kitchen, set(units))
             tree = TaskTree(steps, SearchStats(Algorithm.IDS))
             validate_task_tree(corpus_graph, corpus_kitchen, goal, tree)
 

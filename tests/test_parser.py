@@ -174,6 +174,39 @@ def test_round_trip_random_units(units):
     assert write_subgraph(reparsed) == text
 
 
+CREAM = ObjectKey("cream")
+
+
+@pytest.mark.parametrize(
+    "inputs, motion, outputs",
+    [
+        pytest.param([ObjectKey("a\x85b")], MotionNode("mix"), [CREAM], id="name-nel"),
+        pytest.param([ObjectKey("a\u2028b")], MotionNode("mix"), [CREAM], id="name-line-separator"),
+        pytest.param([ObjectKey("a\tb")], MotionNode("mix"), [CREAM], id="name-tab"),
+        pytest.param([CREAM], MotionNode("mix"), [ObjectKey("c", ["raw\rcut"])], id="output-state-cr"),
+        pytest.param([CREAM], MotionNode("mix"), [ObjectKey("c", [], ["x\x0cy"])], id="ingredient-form-feed"),
+        pytest.param([CREAM], MotionNode("mi\x0bx"), [CREAM], id="motion-vertical-tab"),
+        pytest.param([CREAM], MotionNode("mix", "1\n"), [CREAM], id="start-newline"),
+        pytest.param([CREAM], MotionNode("mix", "1", "2\x1e"), [CREAM], id="end-record-separator"),
+        pytest.param([CREAM], MotionNode("mix", "1\t2"), [CREAM], id="start-tab"),
+    ],
+)
+def test_write_subgraph_refuses_fields_it_cannot_write_back(inputs, motion, outputs):
+    good = FunctionalUnit([CREAM], MotionNode("whip"), [CREAM])
+    with pytest.raises(ValueError, match=r"^unit 1: field .* holds a tab or line break$"):
+        write_subgraph([good, FunctionalUnit(inputs, motion, outputs)])
+
+
+def test_write_subgraph_keeps_other_control_characters():
+    # \x1f and an empty timestamp are no line break, so they round-trip
+    unit = FunctionalUnit([ObjectKey("a\x1fb")], MotionNode("mix", ""), [CREAM])
+    text = write_subgraph([unit])
+    (reparsed,) = parse_subgraph(text)
+    assert reparsed == unit
+    assert reparsed.motion.start_time == ""
+    assert write_subgraph([reparsed]) == text
+
+
 @pytest.mark.parametrize("path", subgraph_paths(), ids=lambda p: p.stem)
 def test_corpus_files_rewrite_byte_identical(path):
     original = path.read_text()
@@ -182,11 +215,11 @@ def test_corpus_files_rewrite_byte_identical(path):
 
 def test_parse_motion_rates():
     table = parse_motion_rates("whip\t0.9\npour\t0.75\n")
-    assert table.rates == {"whip": 0.9, "pour": 0.75}
+    assert table == {"whip": 0.9, "pour": 0.75}
 
 
 def test_parse_motion_rates_empty():
-    assert parse_motion_rates("").rates == {}
+    assert parse_motion_rates("") == {}
 
 
 def test_motion_rate_out_of_range():
@@ -203,7 +236,7 @@ def test_motion_rate_non_numeric():
 def test_motion_rate_duplicate_overrides_with_warning():
     with pytest.warns(ParseWarning):
         table = parse_motion_rates("whip\t0.5\nwhip\t0.9\n")
-    assert table.rates == {"whip": 0.9}
+    assert table == {"whip": 0.9}
 
 
 def test_parse_goal_nodes():
@@ -232,18 +265,18 @@ def test_goal_bad_states_field():
 
 def test_parse_kitchen():
     kitchen = parse_kitchen('[{"object":"cream","states":["raw"]},{"object":"sugar"}]')
-    assert len(kitchen.items) == 2
+    assert len(kitchen) == 2
     assert key_of("cream", ["raw"]) in kitchen
 
 
 def test_parse_kitchen_empty():
-    assert parse_kitchen("[]").items == frozenset()
+    assert parse_kitchen("[]") == frozenset()
 
 
 def test_kitchen_duplicates_collapse_with_warning():
     with pytest.warns(ParseWarning):
         kitchen = parse_kitchen('[{"object":"sugar"},{"object":"sugar"}]')
-    assert kitchen.items == frozenset({key_of("sugar")})
+    assert kitchen == frozenset({key_of("sugar")})
 
 
 def test_corpus_kitchen_and_goals_parse():

@@ -6,8 +6,7 @@ import pytest
 
 import foon.retrieval
 import helpers
-from foon.core import GoalSpec, Kitchen, SearchStats, validate_task_tree
-from foon.parser import EMPTY_RATES, MotionRateTable
+from foon.core import GoalSpec, SearchStats, validate_task_tree
 from foon.retrieval import (
     CyclicResolution,
     HeuristicId,
@@ -40,11 +39,11 @@ MILK_CHAIN = [
 
 def milk_setup():
     graph = build_graph(MILK_CHAIN)
-    kitchen = Kitchen.of({key_of("milk")})
+    kitchen = frozenset({key_of("milk")})
     return graph, kitchen, GoalSpec(key_of("whipped cream"))
 
 
-def all_algorithms(graph, kitchen, goal, rates=EMPTY_RATES, depth_cap=100):
+def all_algorithms(graph, kitchen, goal, rates={}, depth_cap=100):
     return [
         retrieve_ids(graph, kitchen, goal, depth_cap=depth_cap),
         retrieve_gbfs(graph, kitchen, goal, HeuristicId.SUCCESS_RATE, rates),
@@ -57,13 +56,13 @@ def all_algorithms(graph, kitchen, goal, rates=EMPTY_RATES, depth_cap=100):
 
 def test_success_rate_lookup():
     u = unit(["cream"], "whip", ["x"])
-    assert heuristic_success_rate(u, MotionRateTable({"whip": 0.9})) == 0.9
+    assert heuristic_success_rate(u, {"whip": 0.9}) == 0.9
 
 
 def test_success_rate_missing_motion_defaults_zero():
     u = unit(["cream"], "whip", ["x"])
-    assert heuristic_success_rate(u, MotionRateTable({"pour": 0.4})) == 0.0
-    assert heuristic_success_rate(u, EMPTY_RATES) == 0.0
+    assert heuristic_success_rate(u, {"pour": 0.4}) == 0.0
+    assert heuristic_success_rate(u, {}) == 0.0
 
 
 def test_input_count_plain():
@@ -85,7 +84,7 @@ def test_input_count_single_object_three_ingredients():
 
 def test_ids_goal_in_kitchen():
     graph, _, _ = milk_setup()
-    kitchen = Kitchen.of({key_of("whipped cream")})
+    kitchen = frozenset({key_of("whipped cream")})
     tree = retrieve_ids(graph, kitchen, GoalSpec(key_of("whipped cream")))
     assert tree.steps == ()
     assert tree.stats.final_depth_bound == 0
@@ -120,7 +119,7 @@ def test_ids_backtracks_past_dead_end():
             (["base"], "m2", ["goal"]),
         ]
     )
-    kitchen = Kitchen.of({key_of("base")})
+    kitchen = frozenset({key_of("base")})
     tree = retrieve_ids(graph, kitchen, GoalSpec(key_of("goal")))
     assert tree.steps == (1,)
 
@@ -136,7 +135,7 @@ def test_ids_reused_subtree_counts_its_deepest_branch():
             (["k2"], "m3", ["mid"]),
         ]
     )
-    kitchen = Kitchen.of({key_of("k1"), key_of("k2")})
+    kitchen = frozenset({key_of("k1"), key_of("k2")})
     goal = GoalSpec(key_of("goal"))
     tree = retrieve_ids(graph, kitchen, goal)
     assert tree.stats.final_depth_bound == 4
@@ -173,8 +172,8 @@ def ab_setup():
             (["r"], "mash", ["goal"]),  # B
         ]
     )
-    kitchen = Kitchen.of({key_of("p"), key_of("q"), key_of("r")})
-    rates = MotionRateTable({"blend": 0.9, "mash": 0.5})
+    kitchen = frozenset({key_of("p"), key_of("q"), key_of("r")})
+    rates = {"blend": 0.9, "mash": 0.5}
     return graph, kitchen, GoalSpec(key_of("goal")), rates
 
 
@@ -192,7 +191,7 @@ def test_gbfs_input_count_prefers_fewer_inputs():
 
 def test_gbfs_goal_in_kitchen():
     graph, _, goal, rates = ab_setup()
-    kitchen = Kitchen.of({goal.target})
+    kitchen = frozenset({goal.target})
     for heuristic in HeuristicId:
         assert retrieve_gbfs(graph, kitchen, goal, heuristic, rates).steps == ()
 
@@ -204,8 +203,8 @@ def test_gbfs_missing_rate_loses_to_known_rate():
             (["q"], "mash", ["goal"]),
         ]
     )
-    kitchen = Kitchen.of({key_of("p"), key_of("q")})
-    rates = MotionRateTable({"mash": 0.4})
+    kitchen = frozenset({key_of("p"), key_of("q")})
+    rates = {"mash": 0.4}
     tree = retrieve_gbfs(graph, kitchen, GoalSpec(key_of("goal")), HeuristicId.SUCCESS_RATE, rates)
     assert tree.steps == (1,)
     (decision,) = tree.stats.decision_log
@@ -221,8 +220,8 @@ def test_gbfs_backtracks_on_dead_end():
             (["p"], "mash", ["goal"]),
         ]
     )
-    kitchen = Kitchen.of({key_of("p")})
-    rates = MotionRateTable({"blend": 0.9, "mash": 0.5})
+    kitchen = frozenset({key_of("p")})
+    rates = {"blend": 0.9, "mash": 0.5}
     tree = retrieve_gbfs(graph, kitchen, GoalSpec(key_of("goal")), HeuristicId.SUCCESS_RATE, rates)
     assert tree.steps == (1,)
     chosen = [d.chosen for d in tree.stats.decision_log]
@@ -237,7 +236,7 @@ def test_gbfs_tie_breaks_to_lowest_index():
             (["q"], "mash", ["goal"]),
         ]
     )
-    kitchen = Kitchen.of({key_of("p"), key_of("q")})
+    kitchen = frozenset({key_of("p"), key_of("q")})
     for heuristic in HeuristicId:
         tree = retrieve_gbfs(graph, kitchen, GoalSpec(key_of("goal")), heuristic)
         assert tree.steps == (0,)
@@ -269,7 +268,7 @@ def test_shared_intermediate_computed_once():
             (["left", "right"], "join", ["goal"]),
         ]
     )
-    kitchen = Kitchen.of({key_of("base")})
+    kitchen = frozenset({key_of("base")})
     goal = GoalSpec(key_of("goal"))
     for tree in all_algorithms(graph, kitchen, goal):
         assert sorted(tree.steps) == [0, 1, 2, 3]
@@ -284,7 +283,7 @@ def test_cycle_with_escape_terminates():
             (["k"], "m3", ["b"]),
         ]
     )
-    kitchen = Kitchen.of({key_of("k")})
+    kitchen = frozenset({key_of("k")})
     goal = GoalSpec(key_of("a"))
     for tree in all_algorithms(graph, kitchen, goal):
         assert sorted(tree.steps) == [0, 2]
@@ -299,7 +298,7 @@ def test_pure_cycle_unresolvable():
             (["a"], "m3", ["c"]),
         ]
     )
-    kitchen = Kitchen.of(set())
+    kitchen = frozenset(set())
     goal = GoalSpec(key_of("a"))
     with pytest.raises(UnresolvableGoal):
         retrieve_ids(graph, kitchen, goal)
@@ -409,8 +408,8 @@ def test_ids_deep_chain():
 
 
 def test_execution_order_chain():
-    graph, kitchen, goal = milk_setup()
-    assert execution_order(graph, kitchen, goal, {0, 1}) == (1, 0)
+    graph, kitchen, _ = milk_setup()
+    assert execution_order(graph, kitchen, {0, 1}) == (1, 0)
 
 
 def test_execution_order_diamond():
@@ -421,16 +420,16 @@ def test_execution_order_diamond():
             (["base"], "m2", ["right"]),
         ]
     )
-    kitchen = Kitchen.of({key_of("base")})
-    order = execution_order(graph, kitchen, GoalSpec(key_of("goal")), {0, 1, 2})
+    kitchen = frozenset({key_of("base")})
+    order = execution_order(graph, kitchen, {0, 1, 2})
     # all valid orders enumerated by hand: (1,2,0) and (2,1,0); ties go ascending
     assert order == (1, 2, 0)
 
 
 def test_execution_order_empty():
     graph, _, goal = milk_setup()
-    kitchen = Kitchen.of({goal.target})
-    assert execution_order(graph, kitchen, goal, set()) == ()
+    kitchen = frozenset({goal.target})
+    assert execution_order(graph, kitchen, set()) == ()
 
 
 def test_execution_order_detects_cycle():
@@ -440,14 +439,14 @@ def test_execution_order_detects_cycle():
             (["a"], "m2", ["b"]),
         ]
     )
-    kitchen = Kitchen.of(set())
+    kitchen = frozenset(set())
     with pytest.raises(CyclicResolution):
-        execution_order(graph, kitchen, GoalSpec(key_of("a")), {0, 1})
+        execution_order(graph, kitchen, {0, 1})
 
 
-def _order_or_error(order_fn, graph, kitchen, goal, chosen):
+def _order_or_error(order_fn, graph, kitchen, chosen):
     try:
-        return order_fn(graph, kitchen, goal, chosen)
+        return order_fn(graph, kitchen, chosen)
     except CyclicResolution as exc:
         return ("CyclicResolution", str(exc))
 
@@ -462,8 +461,8 @@ def test_execution_order_matches_naive_scan():
         for _ in range(4):
             subsets.append(set(rng.sample(range(len(graph)), rng.randint(0, len(graph)))))
         for chosen in subsets:
-            expected = _order_or_error(naive_execution_order, graph, kitchen, goal, chosen)
-            assert _order_or_error(execution_order, graph, kitchen, goal, chosen) == expected
+            expected = _order_or_error(naive_execution_order, graph, kitchen, chosen)
+            assert _order_or_error(execution_order, graph, kitchen, chosen) == expected
             stuck += expected[:1] == ("CyclicResolution",)
     # both the executable and the stuck branch were exercised
     assert resolutions >= 400 and stuck >= 1000
@@ -478,13 +477,12 @@ def test_execution_order_repeated_input_key():
             (["goal"], "m2", ["c"]),
         ]
     )
-    goal = GoalSpec(key_of("goal"))
-    stocked, empty = Kitchen.of({key_of("c")}), Kitchen.of(set())
+    stocked, empty = frozenset({key_of("c")}), frozenset(set())
     for kitchen in (stocked, empty):
         for chosen in ({0}, {0, 1}, {0, 1, 2}):
-            assert _order_or_error(execution_order, graph, kitchen, goal, chosen) == _order_or_error(
-                naive_execution_order, graph, kitchen, goal, chosen
+            assert _order_or_error(execution_order, graph, kitchen, chosen) == _order_or_error(
+                naive_execution_order, graph, kitchen, chosen
             )
-    assert execution_order(graph, stocked, goal, {0, 1}) == (1, 0)
+    assert execution_order(graph, stocked, {0, 1}) == (1, 0)
     with pytest.raises(CyclicResolution, match=r"units \[0, 1, 2\] have no executable order"):
-        execution_order(graph, empty, goal, {0, 1, 2})
+        execution_order(graph, empty, {0, 1, 2})

@@ -47,3 +47,31 @@ def test_no_function_in_the_package_calls_itself():
         if (calls := self_calls(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package that ``source`` imports by relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_scan_finds_relative_imports():
+    source = (
+        "import json\nfrom typing import Mapping\n"
+        "from .core import ObjectKey\nfrom . import oracle as oracle_mod\nfrom .parser.sub import x\n"
+    )
+    assert package_imports(source) == {"core", "oracle", "parser"}
+
+
+def test_layers_import_only_the_layers_below():
+    # the domain types stand alone, and the searches need nothing but them
+    layers = {"core": set(), "retrieval": {"core"}}
+    assert {
+        name: package_imports((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) for name in layers
+    } == layers
