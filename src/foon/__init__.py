@@ -34,6 +34,7 @@ from .retrieval import (
     CyclicResolution,
     HeuristicId,
     UnresolvableGoal,
+    derivation_depths,
     execution_order,
     heuristic_input_count,
     heuristic_success_rate,
@@ -63,6 +64,7 @@ __all__ = [
     "TaskTree",
     "TooLarge",
     "UnresolvableGoal",
+    "derivation_depths",
     "enumerate_resolutions",
     "execution_order",
     "find_candidate_units",

@@ -31,6 +31,7 @@ from .retrieval import (
     DEFAULT_DEPTH_CAP,
     HeuristicId,
     UnresolvableGoal,
+    derivation_depths,
     retrieve_gbfs,
     retrieve_ids,
 )
@@ -70,6 +71,9 @@ def _load_inputs(universal: str, kitchen_file: str, goals_file: str, rates_file:
         rates = {} if rates_file is None else parse_motion_rates(_read(rates_file))
     except FoonError as exc:
         _fail(str(exc))
+    # fill the cache every retrieval reads, so loading pays for it once
+    # rather than the first retrieval
+    derivation_depths(graph, kitchen)
     return graph, kitchen, goals, rates
 
 

@@ -22,12 +22,36 @@ resolution path, which guarantees termination on cyclic graphs. A needed key
 is produced by at most one unit per resolution, so shared intermediates are
 computed once. Once a key resolves, its alternatives are dropped: a later
 failure backtracks to the enclosing choice, never back into a finished key.
+
+Before either searches, it looks the goal up in :func:`derivation_depths`,
+one forward pass per ``(graph, kitchen)`` that gives every key the kitchen
+can derive its fewest unit hops (Knuth's generalisation of Dijkstra's
+algorithm to AND-OR graphs). Two facts make that lookup decide failures
+without changing any outcome:
+
+* *Completeness.* A search without a bound resolves every derivable goal,
+  and so does a bounded one that cut no branch, since it ran as the
+  unbounded one does. By induction on derivation depth, a needed key whose
+  ancestors on the path are all deeper than it resolves: its frame
+  eventually tries the unit that derives it fastest, whose inputs are
+  shallower than the key, so none is on the path, and each input is in the
+  kitchen, reused, or resolved by the induction hypothesis. So GBFS fails
+  exactly on the goals the pass cannot derive, and IDS fails a bound on a
+  derivable goal only when the bound cut a branch. What IDS finds at bound
+  b has depth at most b, so a goal deeper than ``depth_cap`` fails every
+  bound up to it.
+* *Monotone bounds.* A search at bound b that cut no branch runs the same
+  way at b + 1, because every bound check it passed still passes. So on a
+  goal that cannot be derived, the bounds 0 ... ``depth_cap`` give
+  ``no-candidates`` iff the search at ``depth_cap`` cuts nothing, and one
+  search there decides the reason.
 """
 
 from __future__ import annotations
 
 import heapq
 from enum import Enum
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -53,12 +77,20 @@ class HeuristicId(Enum):
 
 
 class UnresolvableGoal(FoonError):
-    """The goal cannot be produced from the kitchen.
+    """The goal cannot be produced from the kitchen; ``reason`` says how.
 
-    ``reason`` is ``"no-candidates"`` when the failure is structural (some
-    unavoidable key has no producers), ``"depth-cap-exhausted"`` when IDS ran
-    out of depth bound, or ``"dead-end"`` when every GBFS candidate chain
-    failed.
+    * :func:`retrieve_gbfs` gives ``"no-candidates"`` when no unit produces
+      the goal, and ``"dead-end"`` when some unit does but the kitchen cannot
+      derive the goal through any of them.
+    * :func:`retrieve_ids` gives ``"depth-cap-exhausted"`` when the goal's
+      derivation depth exceeds ``depth_cap``, or when the goal cannot be
+      derived and the search at bound ``depth_cap`` cut a branch off. It
+      gives ``"no-candidates"`` when the goal cannot be derived and that
+      search cut nothing: the goal has no producers, or every chain under it
+      within the cap ends in a key with no producers or closes a cycle.
+
+    The failed retrieval's ``SearchStats`` counters are 0 when no search ran:
+    always for GBFS, and for IDS when the derivation depth exceeds the cap.
     """
 
     def __init__(self, goal: ObjectKey, reason: str):
@@ -126,6 +158,52 @@ def execution_order(
             f"units {remaining} have no executable order (cycle or missing producer)"
         )
     return tuple(steps)
+
+
+@lru_cache(maxsize=1)
+def derivation_depths(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mapping[ObjectKey, int]:
+    """Fewest unit hops that derive each key from the ``kitchen`` keys, which
+    are at 0; a key the kitchen cannot derive is absent.
+
+    This is :func:`execution_order`'s Kahn loop over every unit, run level by
+    level: each unit waits on its inputs not in the kitchen, the units that
+    wait on nothing form the first frontier, a frontier settles its units'
+    unsettled outputs at the current level, and the units those outputs
+    release form the next frontier. Keys settle in nondecreasing depth, so a
+    unit released at level d has depth d + 1, in O(E) time for E input
+    edges. The one most recent result is cached, so retrievals over the same
+    graph and kitchen share it, read-only.
+    """
+    units = graph.units
+    depth = dict.fromkeys(kitchen, 0)
+    missing: list[int] = []  # unit -> input slots not yet derived
+    # key -> one entry per slot waiting on it; a key settles once and pops
+    # all of them, so a unit listing a key twice needs no set to count it
+    waiting: dict[ObjectKey, list[int]] = {}
+    frontier: list[int] = []
+    for pos, unit in enumerate(units):
+        count = 0
+        for key in unit.inputs:
+            if key not in kitchen:
+                count += 1
+                waiting.setdefault(key, []).append(pos)
+        missing.append(count)
+        if not count:
+            frontier.append(pos)
+    level = 0
+    while frontier:
+        level += 1
+        released: list[int] = []
+        for pos in frontier:
+            for key in units[pos].outputs:
+                if key not in depth:
+                    depth[key] = level
+                    for waiter in waiting.pop(key, ()):
+                        missing[waiter] -= 1
+                        if not missing[waiter]:
+                            released.append(waiter)
+        frontier = released
+    return MappingProxyType(depth)
 
 
 def _backtrack(
@@ -205,11 +283,17 @@ def retrieve_ids(
     minimal resolution depth: a key resolved once is reused wherever else it
     is needed, and when a reuse sits too deep for the bound the search does
     not go back to resolve that key through a shallower producer.
+
+    The goal's :func:`derivation_depths` entry decides a failure first (see
+    the module docstring): a derivation depth above ``depth_cap`` fails
+    without a search, and a goal that cannot be derived runs the one search
+    at bound ``depth_cap``, whose counters are the failure's.
     """
     if depth_cap < 0:
         raise ValueError("depth_cap must be >= 0")
     stats = SearchStats(Algorithm.IDS)
     units = graph.units
+    target = goal.target
 
     def options(key: ObjectKey, path: set):
         for pos in find_candidate_units(graph, key):
@@ -217,17 +301,20 @@ def retrieve_ids(
             if path.isdisjoint(units[pos].inputs):  # else it would revisit the path
                 yield pos
 
+    depth = derivation_depths(graph, kitchen).get(target)
+    if depth is None:
+        # every bound fails; one that cuts nothing runs alike at all larger ones
+        _, hit_bound = _backtrack(graph, kitchen, target, options, stats, depth_cap)
+        raise UnresolvableGoal(target, "depth-cap-exhausted" if hit_bound else "no-candidates")
+    if depth > depth_cap:
+        raise UnresolvableGoal(target, "depth-cap-exhausted")
     for bound in range(depth_cap + 1):
-        producer, hit_bound = _backtrack(graph, kitchen, goal.target, options, stats, bound)
+        # a derivable goal fails a bound only where the bound cut a branch
+        producer, _ = _backtrack(graph, kitchen, target, options, stats, bound)
         if producer is not None:
             stats.final_depth_bound = bound
             return TaskTree(execution_order(graph, kitchen, producer.values()), stats)
-        if not hit_bound:
-            # the bound never cut anything off, so deeper iterations would
-            # explore the identical tree and fail the same way
-            raise UnresolvableGoal(goal.target, "no-candidates")
-
-    raise UnresolvableGoal(goal.target, "depth-cap-exhausted")
+    raise UnresolvableGoal(target, "depth-cap-exhausted")
 
 
 def retrieve_gbfs(
@@ -243,6 +330,10 @@ def retrieve_gbfs(
     tried best-first (highest success rate, or lowest input count; ties go to
     the lowest unit index). Each attempt is appended to
     ``stats.decision_log`` with the candidates still alive at that point.
+
+    A goal that :func:`derivation_depths` cannot derive fails without a
+    search, so its counters are 0 and its log is empty; any other goal
+    resolves (see the module docstring).
     """
     minimize = heuristic is HeuristicId.INPUT_COUNT
     stats = SearchStats(
@@ -250,6 +341,8 @@ def retrieve_gbfs(
     )
     units = graph.units
     target = goal.target
+    if target not in derivation_depths(graph, kitchen):
+        raise UnresolvableGoal(target, "dead-end" if find_candidate_units(graph, target) else "no-candidates")
 
     # min and max both return the first best candidate: ties go to the lowest unit
     if minimize:
@@ -268,8 +361,4 @@ def retrieve_gbfs(
             del alive[i], scores[i]
 
     producer, _ = _backtrack(graph, kitchen, target, options, stats)
-    if producer is None:
-        if not find_candidate_units(graph, target):
-            raise UnresolvableGoal(target, "no-candidates")
-        raise UnresolvableGoal(target, "dead-end")
     return TaskTree(execution_order(graph, kitchen, producer.values()), stats)

@@ -3,14 +3,19 @@ import sys
 from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 
 import foon.retrieval
-import helpers
+from foon.cli import main as cli_main
 from foon.core import GoalSpec, SearchStats, validate_task_tree
+from foon.data import corpus_file
+from foon.oracle import TooLarge, enumerate_resolutions
+from foon.parser import write_subgraph
 from foon.retrieval import (
     CyclicResolution,
     HeuristicId,
     UnresolvableGoal,
+    derivation_depths,
     execution_order,
     heuristic_input_count,
     heuristic_success_rate,
@@ -49,6 +54,20 @@ def all_algorithms(graph, kitchen, goal, rates={}, depth_cap=100):
         retrieve_gbfs(graph, kitchen, goal, HeuristicId.SUCCESS_RATE, rates),
         retrieve_gbfs(graph, kitchen, goal, HeuristicId.INPUT_COUNT, rates),
     ]
+
+
+@pytest.fixture()
+def built_stats(monkeypatch):
+    """Every ``SearchStats`` the retrieval module builds, so a failed
+    retrieval's counters can be read too."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(SearchStats(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(foon.retrieval, "SearchStats", recording)
+    return built
 
 
 # --- heuristics ---------------------------------------------------------
@@ -105,11 +124,13 @@ def test_ids_no_candidates():
     assert err.value.reason == "no-candidates"
 
 
-def test_ids_depth_cap_exhausted():
-    graph, kitchen, goal = milk_setup()
+def test_ids_depth_cap_exhausted(built_stats):
+    graph, kitchen, goal = milk_setup()  # the goal is 2 hops deep
     with pytest.raises(UnresolvableGoal) as err:
         retrieve_ids(graph, kitchen, goal, depth_cap=1)
     assert err.value.reason == "depth-cap-exhausted"
+    (stats,) = built_stats  # no bound was searched
+    assert stats.units_expanded == stats.candidate_evaluations == 0
 
 
 def test_ids_backtracks_past_dead_end():
@@ -317,34 +338,135 @@ def test_determinism_byte_identical_trees(corpus_graph, corpus_kitchen, corpus_g
             assert write_task_tree(corpus_graph, a) == write_task_tree(corpus_graph, b)
 
 
+# --- the derivation pre-pass -------------------------------------------
+
+
+def _oracle_depth(graph, kitchen, goal):
+    """Smallest depth over the oracle's resolutions, or None without one."""
+    return min((depth for _, depth in enumerate_resolutions(graph, kitchen, goal)), default=None)
+
+
+def test_derivation_depths_match_the_oracle():
+    rng = random.Random(4241)
+    draws = [random_instance(rng) for _ in range(1500)]
+    draws += [random_instance(rng, max_units=30, max_branching=4) for _ in range(400)]
+    outcomes = Counter()
+    for graph, kitchen, goal, _ in draws:
+        try:
+            want = _oracle_depth(graph, kitchen, goal)
+        except TooLarge:
+            continue
+        # derivable iff the oracle finds a resolution, at its smallest depth
+        assert derivation_depths(graph, kitchen).get(goal.target) == want, goal
+        outcomes[want is None] += 1
+    assert outcomes[False] >= 500 and outcomes[True] >= 300, outcomes
+
+
+NAMED_INSTANCES = {
+    # ROADMAP open item 2: depth 4 through unit 4, while IDS returns bound 5
+    "reuse-too-deep": (
+        [
+            (["obj4", "obj2"], "m0", ["obj0"]),
+            (["obj6", "obj4"], "m1", ["obj2"]),
+            (["obj1", "obj5"], "m2", ["obj2"]),
+            (["obj8", "obj7"], "m3", ["obj4"]),
+            (["obj1", "obj7"], "m4", ["obj4"]),
+            (["obj1"], "m5", ["obj7"]),
+            (["obj7"], "m6", ["obj8"]),
+        ],
+        {"obj1", "obj6"},
+        "obj0",
+        4,
+    ),
+    # two units each make every input of the goal's unit
+    "shared-outputs": (
+        [
+            (["k0", "k1", "k2", "k3"], "join", ["g0"]),
+            (["a"], "m1", ["k0", "k1", "k2", "k3"]),
+            (["b"], "m2", ["k0", "k1", "k2", "k3"]),
+        ],
+        {"a", "b"},
+        "g0",
+        2,
+    ),
+    # the join waits on "c" once, however often it lists it
+    "repeated-input": (
+        [
+            (["c", "c", "k"], "join", ["g"]),
+            (["k"], "m1", ["c"]),
+        ],
+        {"k"},
+        "g",
+        2,
+    ),
+    "cycle-without-entry": (
+        [
+            (["b"], "m1", ["a"]),
+            (["a"], "m2", ["b"]),
+        ],
+        {"k"},
+        "a",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_INSTANCES))
+def test_derivation_depths_named_instances(name):
+    specs, stocked, goal_name, depth = NAMED_INSTANCES[name]
+    graph = build_graph(specs)
+    kitchen = frozenset(key_of(n) for n in stocked)
+    goal = GoalSpec(key_of(goal_name))
+    assert derivation_depths(graph, kitchen).get(goal.target) == depth
+    assert _oracle_depth(graph, kitchen, goal) == depth
+
+
+def test_derivation_depths_are_read_only():
+    graph, kitchen, goal = milk_setup()
+    depths = derivation_depths(graph, kitchen)
+    assert dict(depths) == {key_of("milk"): 0, key_of("cream"): 1, goal.target: 2}
+    with pytest.raises(TypeError):
+        depths[goal.target] = 0
+
+
+@pytest.mark.parametrize("heuristic", list(HeuristicId))
+@pytest.mark.parametrize("goal_name, reason", [("a", "dead-end"), ("cake", "no-candidates")])
+def test_gbfs_underivable_goal_searches_nothing(built_stats, heuristic, goal_name, reason):
+    graph = build_graph([(["b"], "m1", ["a"]), (["a"], "m2", ["b"])])
+    with pytest.raises(UnresolvableGoal) as err:
+        retrieve_gbfs(graph, frozenset({key_of("k")}), GoalSpec(key_of(goal_name)), heuristic)
+    assert err.value.reason == reason
+    (stats,) = built_stats
+    assert stats.units_expanded == stats.candidate_evaluations == 0
+    assert stats.decision_log == []
+
+
+def test_compare_computes_derivation_depths_once(tmp_path, corpus_graph, corpus_goals):
+    universal = tmp_path / "universal.foon.txt"
+    universal.write_text(write_subgraph(corpus_graph.units), encoding="utf-8")
+    args = ["compare", str(universal), str(corpus_file("kitchen.json")), str(corpus_file("goal_nodes.json"))]
+    derivation_depths.cache_clear()
+    result = CliRunner().invoke(cli_main, args)
+    assert result.exit_code == 0, result.output
+    info = derivation_depths.cache_info()
+    # loading fills the cache and every retrieval of every goal reads it
+    assert (info.misses, info.hits) == (1, 3 * len(corpus_goals))
+
+
 # --- the iterative engine against the recursive reference --------------
 
 
-@pytest.fixture()
-def built_stats(monkeypatch):
-    """The last ``SearchStats`` built by either implementation, so a failed
-    retrieval's counters can be compared too."""
-    built = []
-
-    def recording(*args, **kwargs):
-        built[:] = [SearchStats(*args, **kwargs)]
-        return built[0]
-
-    monkeypatch.setattr(foon.retrieval, "SearchStats", recording)
-    monkeypatch.setattr(helpers, "SearchStats", recording)
-    return built
-
-
-def _outcome(built, retrieve, *args):
-    """Steps or failure reason, then every counter and the decision log."""
+def _outcome(retrieve, *args):
+    """The reason of a failure; else the steps, every counter and the
+    decision log. A failure's counters are left out: the engine decides it
+    from ``derivation_depths`` and skips searches the reference runs."""
     try:
         tree = retrieve(*args)
     except UnresolvableGoal as exc:
-        result, stats = exc.reason, built[0]
-    else:
-        result, stats = tree.steps, tree.stats
+        return exc.reason
+    stats = tree.stats
     return (
-        result,
+        tree.steps,
         stats.units_expanded,
         stats.candidate_evaluations,
         stats.final_depth_bound,
@@ -352,9 +474,7 @@ def _outcome(built, retrieve, *args):
     )
 
 
-def test_engine_matches_recursive_reference(
-    built_stats, corpus_graph, corpus_kitchen, corpus_goals, corpus_rates
-):
+def test_engine_matches_recursive_reference(corpus_graph, corpus_kitchen, corpus_goals, corpus_rates):
     instances = [(corpus_graph, corpus_kitchen, goal, corpus_rates) for goal in corpus_goals]
     rng = random.Random(60221)
     instances += [random_instance(rng) for _ in range(1000)]
@@ -368,9 +488,9 @@ def test_engine_matches_recursive_reference(
         ]
         for name, engine, reference, extra in runs:
             args = (graph, kitchen, goal) + extra
-            got = _outcome(built_stats, engine, *args)
-            assert got == _outcome(built_stats, reference, *args), (name, goal)
-            outcomes[name, got[0] if isinstance(got[0], str) else "resolved"] += 1
+            got = _outcome(engine, *args)
+            assert got == _outcome(reference, *args), (name, goal)
+            outcomes[name, got if isinstance(got, str) else "resolved"] += 1
     # every algorithm both resolved and failed, for every reason it can give
     for name in ("ids0", "ids1", "ids2", "ids3", "ids100", "success-rate", "input-count"):
         assert outcomes[name, "resolved"] >= 50, name
