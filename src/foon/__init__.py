@@ -19,7 +19,7 @@ from .core import (
 )
 from .export import to_dot, write_task_tree
 from .merge import MergeResult, merge_subgraphs
-from .oracle import TooLarge, enumerate_resolutions, minimal_depth, minimal_units
+from .oracle import TooLarge, enumerate_resolutions, minima
 from .parser import (
     ParseError,
     ParseWarning,
@@ -72,8 +72,7 @@ __all__ = [
     "heuristic_success_rate",
     "index_outputs",
     "merge_subgraphs",
-    "minimal_depth",
-    "minimal_units",
+    "minima",
     "parse_goal_nodes",
     "parse_kitchen",
     "parse_motion_rates",

@@ -169,16 +169,14 @@ def _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle):
     rows = []
     any_failure = False
     for goal in goals:
-        oracle_cols = {}
-        if with_oracle:
+        oracle_cols = {"minimal_units": "", "minimal_depth": ""}
+        # the oracle resolves exactly the goals the forward pass derives
+        if with_oracle and goal.target in derivation_depths(graph, kitchen):
             try:
-                units, depth = oracle_mod._minima(graph, kitchen, goal)  # one enumeration for both
+                units, depth = oracle_mod.minima(graph, kitchen, goal)  # one enumeration for both
                 oracle_cols = {"minimal_units": units, "minimal_depth": depth}
-            except UnresolvableGoal:
-                oracle_cols = {"minimal_units": "", "minimal_depth": ""}
             except oracle_mod.TooLarge as exc:
                 click.echo(f"{goal.target}: oracle skipped ({exc})", err=True)
-                oracle_cols = {"minimal_units": "", "minimal_depth": ""}
         for algo in ALGOS:
             row = {"goal": str(goal.target), "algorithm": algo}
             try:

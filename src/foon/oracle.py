@@ -81,20 +81,11 @@ def enumerate_resolutions(
     return sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0]), item[1]))
 
 
-def _minima(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec) -> tuple[int, int]:
+def minima(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec) -> tuple[int, int]:
     """Fewest units and smallest depth over all valid resolutions, from one
-    enumeration; the two minima may come from different resolutions."""
+    enumeration; the two minima may come from different resolutions. Raises
+    :class:`UnresolvableGoal` when there is no resolution."""
     resolutions = enumerate_resolutions(graph, kitchen, goal)
     if not resolutions:
         raise UnresolvableGoal(goal.target, "no-candidates")
     return min(len(units) for units, _ in resolutions), min(depth for _, depth in resolutions)
-
-
-def minimal_units(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec) -> int:
-    """Fewest units any valid resolution needs."""
-    return _minima(graph, kitchen, goal)[0]
-
-
-def minimal_depth(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec) -> int:
-    """Smallest resolution depth over all valid resolutions."""
-    return _minima(graph, kitchen, goal)[1]

@@ -44,7 +44,36 @@ without changing any outcome:
   way at b + 1, because every bound check it passed still passes. So on a
   goal that cannot be derived, the bounds 0 ... ``depth_cap`` give
   ``no-candidates`` iff the search at ``depth_cap`` cuts nothing, and one
-  search there decides the reason.
+  search there decides the reason. Once it cuts, the reason is
+  ``depth-cap-exhausted``, so that search stops at its first cut.
+
+Most of those searches need not run at all. Take the *needs* graph, with an
+edge from each key not in the kitchen to every input not in the kitchen of
+each of its producers. The search at bound b cuts a branch in two places
+only, and each cut follows a simple chain of at least b + 1 keys in it from
+the goal:
+
+* *A needed key at level l >= b.* The keys on the path from the goal to it
+  have open frames, so none is in the kitchen, and path pruning keeps them
+  and the key itself distinct: a chain of l + 1 keys.
+* *A reuse at level l of a finished key whose subtree has height h, with
+  l + h > b.* The subtree holds a chain of h keys not in the kitchen down
+  from the reused key, which path pruning keeps off the path. No key of the
+  subtree is on the path either. Each of them had finished when the reused
+  key did, so a frame that was open then is not one of theirs, and a frame
+  opened later for one of them needed a rollback to drop it. But a rollback
+  after the reused key finished goes back to the mark of a frame that
+  encloses the reused key, which drops that key too, or of a frame opened
+  later, which drops nothing of its subtree. So the path and that chain
+  form a chain of l + h keys.
+
+:func:`_chain_bounds` bounds the keys of every simple chain from a key
+from above, in linear time, by condensing the needs graph into strongly
+connected components (Tarjan 1972): a simple chain leaves a component for
+good once it leaves it, so it holds at most the sizes of the components on
+one path of the condensation. When the goal's bound is at most
+``depth_cap``, the search at the cap cuts nothing, and the reason is
+``no-candidates`` without a search.
 """
 
 from __future__ import annotations
@@ -90,7 +119,9 @@ class UnresolvableGoal(FoonError):
       within the cap ends in a key with no producers or closes a cycle.
 
     The failed retrieval's ``SearchStats`` counters are 0 when no search ran:
-    always for GBFS, and for IDS when the derivation depth exceeds the cap.
+    always for GBFS, and for IDS when the derivation depth exceeds the cap or
+    the goal's chain bound fits it. Otherwise IDS searched at the cap only
+    until its first cut, so its counters are partial.
     """
 
     def __init__(self, goal: ObjectKey, reason: str):
@@ -206,17 +237,85 @@ def derivation_depths(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mappin
     return MappingProxyType(depth)
 
 
+@lru_cache(maxsize=1)
+def _chain_bounds(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mapping[ObjectKey, int]:
+    """An upper bound on the keys of a simple chain from each key in the
+    needs graph (see the module docstring). The map holds every key not in
+    the ``kitchen`` that a unit produces, and every input not in it of
+    their producers; a key with no producers has bound 1.
+
+    One iterative pass of Tarjan's algorithm condenses the needs graph into
+    strongly connected components. It emits them in reverse topological
+    order, so when a component is emitted, every edge that leaves it ends in
+    a key whose bound is set, and its keys' bound is its size plus the
+    largest of those. That is O(E) time for E input edges. The one most
+    recent result is cached, read-only, like :func:`derivation_depths`.
+    """
+    units = graph.units
+    bound: dict[ObjectKey, int] = {}
+    index: dict[ObjectKey, int] = {}  # visit order
+    low: dict[ObjectKey, int] = {}  # lowest index reachable through keys still in `open_keys`
+    edges: dict[ObjectKey, list[ObjectKey]] = {}
+    open_keys: list[ObjectKey] = []  # visited keys whose component is not emitted yet
+    work: list[tuple] = []  # the depth-first path, each key with the edges left to follow
+
+    def visit(key: ObjectKey) -> None:
+        index[key] = low[key] = len(index)
+        open_keys.append(key)
+        edges[key] = [
+            ikey for pos in find_candidate_units(graph, key) for ikey in units[pos].inputs if ikey not in kitchen
+        ]
+        work.append((key, iter(edges[key])))
+
+    for root in graph.output_index:
+        if root in kitchen or root in index:
+            continue
+        visit(root)
+        while work:
+            key, rest = work[-1]
+            for nxt in rest:
+                if nxt not in index:
+                    visit(nxt)
+                    break
+                if nxt not in bound:  # still open, so in the component of `key`
+                    low[key] = min(low[key], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[key])
+                if low[key] == index[key]:  # `key` roots a component: emit it
+                    start = len(open_keys) - 1
+                    while open_keys[start] is not key:
+                        start -= 1
+                    component = open_keys[start:]
+                    del open_keys[start:]
+                    # edges into keys already bound leave the component
+                    below = max((bound[n] for k in component for n in edges[k] if n in bound), default=0)
+                    for k in component:
+                        bound[k] = len(component) + below
+    return MappingProxyType(bound)
+
+
 def _backtrack(
-    graph: FoonGraph, kitchen: frozenset, target: ObjectKey, options, stats: SearchStats, bound: int | None = None
+    graph: FoonGraph,
+    kitchen: frozenset,
+    target: ObjectKey,
+    options,
+    stats: SearchStats,
+    bound: int | None = None,
+    stop_at_cut: bool = False,
 ) -> tuple[dict[ObjectKey, int] | None, bool]:
     """Resolve ``target`` from the ``kitchen`` keys, trying the units that
     ``options(key, path)`` yields for each needed key, where ``path`` is the
     set of keys being resolved, ``key`` included.
 
-    Returns ``(producer, hit_bound)``: ``producer`` maps each needed key to
-    its unit, or is ``None`` on failure, and ``hit_bound`` tells whether the
-    depth ``bound`` (unit hops from the target; ``None`` for none) cut a
-    branch off. Each unit tried counts in ``stats.units_expanded``.
+    Returns ``(producer, cut)``: ``producer`` maps each needed key to its
+    unit, or is ``None`` on failure. With ``stop_at_cut``, the search gives
+    up at the first branch that the depth ``bound`` (unit hops from the
+    target; ``None`` for none) cuts off, and ``cut`` tells whether it did;
+    otherwise ``cut`` is False. Each unit tried counts in
+    ``stats.units_expanded``.
     """
     units = graph.units
     producer: dict[ObjectKey, int] = {}
@@ -224,7 +323,6 @@ def _backtrack(
     trail: list[ObjectKey] = []  # assigned keys, oldest first, for rollback
     path: set[ObjectKey] = set()
     stack: list[list] = []  # frames: [key, level, choices, trail mark, inputs left]
-    hit_bound = False
     key, level = target, 0
     while True:
         # settle the needed key, or open a frame for it
@@ -232,9 +330,12 @@ def _backtrack(
             ok = True
         elif key in producer:  # reuse a finished subtree if it fits the bound
             ok = bound is None or level + height[key] <= bound
-            hit_bound = hit_bound or not ok
+            if not ok and stop_at_cut:
+                return None, True
         elif bound is not None and level >= bound:
-            ok, hit_bound = False, True
+            if stop_at_cut:
+                return None, True
+            ok = False
         else:
             path.add(key)
             stack.append([key, level, options(key, path), len(trail), None])
@@ -264,7 +365,7 @@ def _backtrack(
             path.discard(frame[0])
             ok = True
         else:
-            return (producer if ok else None), hit_bound
+            return (producer if ok else None), False
 
 
 def retrieve_ids(
@@ -286,8 +387,11 @@ def retrieve_ids(
 
     The goal's :func:`derivation_depths` entry decides a failure first (see
     the module docstring): a derivation depth above ``depth_cap`` fails
-    without a search, and a goal that cannot be derived runs the one search
-    at bound ``depth_cap``, whose counters are the failure's.
+    without a search. A goal that cannot be derived fails with
+    ``no-candidates`` without a search when its :func:`_chain_bounds` entry
+    is at most ``depth_cap``. Otherwise it runs the one search at bound
+    ``depth_cap``, up to its first cut, and that search's counters are the
+    failure's.
     """
     if depth_cap < 0:
         raise ValueError("depth_cap must be >= 0")
@@ -303,9 +407,12 @@ def retrieve_ids(
 
     depth = derivation_depths(graph, kitchen).get(target)
     if depth is None:
-        # every bound fails; one that cuts nothing runs alike at all larger ones
-        _, hit_bound = _backtrack(graph, kitchen, target, options, stats, depth_cap)
-        raise UnresolvableGoal(target, "depth-cap-exhausted" if hit_bound else "no-candidates")
+        # every bound fails; one that cuts nothing runs alike at all larger ones,
+        # and a cut needs a chain longer than the cap
+        if _chain_bounds(graph, kitchen).get(target, 1) <= depth_cap:
+            raise UnresolvableGoal(target, "no-candidates")
+        _, cut = _backtrack(graph, kitchen, target, options, stats, depth_cap, stop_at_cut=True)
+        raise UnresolvableGoal(target, "depth-cap-exhausted" if cut else "no-candidates")
     if depth > depth_cap:
         raise UnresolvableGoal(target, "depth-cap-exhausted")
     for bound in range(depth_cap + 1):

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from foon.cli import main as cli_main
 from foon.core import validate_task_tree
 from foon.merge import merge_subgraphs
-from foon.oracle import enumerate_resolutions, minimal_depth, minimal_units
+from foon.oracle import enumerate_resolutions, minima
 from foon.parser import parse_subgraph, write_subgraph
 from foon.retrieval import (
     HeuristicId,
@@ -61,7 +61,7 @@ def test_criterion_1_oracle_equivalence(corpus_graph, corpus_kitchen, corpus_goa
             for name, tree in results.items():
                 assert tree is not None, f"{name} failed on a resolvable instance"
                 validate_task_tree(graph, kitchen, goal, tree)
-            assert results["ids"].stats.final_depth_bound == minimal_depth(graph, kitchen, goal)
+            assert results["ids"].stats.final_depth_bound == minima(graph, kitchen, goal)[1]
         else:
             for name, tree in results.items():
                 assert tree is None, f"{name} resolved an unresolvable instance"
@@ -107,7 +107,7 @@ def test_criterion_3_directional_reproduction(
     assert all(counts[winner] < c for c in others)
     # the documented counts are genuinely achievable and nothing smaller is
     # claimed than the oracle's minimum
-    assert min(counts.values()) >= minimal_units(graph, fixture_kitchen, fixture_goal)
+    assert min(counts.values()) >= minima(graph, fixture_kitchen, fixture_goal)[0]
     sets = {frozenset(tree.steps) for tree in results.values()}
     oracle_sets = {
         s for s, _ in enumerate_resolutions(graph, fixture_kitchen, fixture_goal)

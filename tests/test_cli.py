@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import foon
 from foon import oracle
 from foon.cli import main
+from foon.core import GoalSpec
 from foon.data import corpus_file, subgraph_paths
 from foon.parser import write_subgraph
-from helpers import chain_graph, fan_graph
+from helpers import build_graph, chain_graph, fan_graph, key_of
 
 
 @pytest.fixture()
@@ -249,6 +250,28 @@ def test_compare_with_oracle_enumerates_once_per_goal(runner, universal, corpus_
     assert len(goals) == 3
 
 
+def test_compare_with_oracle_skips_underivable_goals(runner, universal, corpus_paths, tmp_path, monkeypatch):
+    calls = []
+    enumerate_resolutions = oracle.enumerate_resolutions
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return enumerate_resolutions(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_resolutions", counting)
+    goals = tmp_path / "goals.json"
+    goals.write_text('[{"object": "cake"}]')
+    result = runner.invoke(
+        main,
+        ["compare", universal, corpus_paths["kitchen.json"], str(goals), "--with-oracle", "--format", "csv"],
+    )
+    assert result.exit_code == 1, result.output
+    rows = result.stdout.splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.endswith(",false,,") for row in rows)
+    assert calls == []
+
+
 def _write_instance(tmp_path, graph, kitchen, goal):
     """A graph, kitchen and goal written as universal, kitchen and goals files."""
     universal = tmp_path / "graph.foon.txt"
@@ -285,6 +308,27 @@ def test_compare_with_oracle_too_large_leaves_columns_blank(runner, tmp_path):
     assert len(rows) == 4
     assert all(row.endswith(",true,,") for row in rows[1:])
     assert result.stderr.count("g0: oracle skipped") == 1
+
+
+def test_compare_with_oracle_underivable_too_large_goal_is_silent(runner, tmp_path):
+    # the fan's 2**20 resolutions of its other inputs come before the ghost,
+    # so enumerating would pass MAX_STATES; the forward pass skips it
+    specs = [(["ghost"] + [f"k{i}" for i in range(20)], "mix", ["g0"])]
+    for i in range(20):
+        specs += [(["x"], f"m{i}", [f"k{i}"]), (["x"], f"m{i}y", [f"k{i}"])]
+    graph, kitchen, goal = build_graph(specs), frozenset({key_of("x")}), GoalSpec(key_of("g0"))
+    with pytest.raises(oracle.TooLarge):
+        oracle.enumerate_resolutions(graph, kitchen, goal)
+    universal, kitchen_file, goals_file = _write_instance(tmp_path, graph, kitchen, goal)
+    result = runner.invoke(
+        main,
+        ["compare", universal, kitchen_file, goals_file, "--with-oracle", "--format", "csv"],
+    )
+    assert result.exit_code == 1, result.output
+    rows = result.stdout.splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.endswith(",false,,") for row in rows)
+    assert result.stderr == ""
 
 
 def test_retrieve_deep_chain(runner, tmp_path):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from foon.core import Algorithm, GoalSpec, SearchStats, TaskTree, validate_task_tree
-from foon.oracle import TooLarge, enumerate_resolutions, minimal_depth, minimal_units
+from foon.oracle import TooLarge, enumerate_resolutions, minima
 from foon.retrieval import UnresolvableGoal, execution_order, retrieve_ids
 from helpers import (
     brute_force_resolutions,
@@ -42,16 +42,16 @@ def test_goal_in_kitchen():
     graph, _, goal = milk_chain()
     kitchen = frozenset({goal.target})
     assert enumerate_resolutions(graph, kitchen, goal) == [(frozenset(), 0)]
-    assert minimal_units(graph, kitchen, goal) == 0
-    assert minimal_depth(graph, kitchen, goal) == 0
+    assert minima(graph, kitchen, goal)[0] == 0
+    assert minima(graph, kitchen, goal)[1] == 0
 
 
 def test_two_unit_chain_single_resolution():
     graph, kitchen, goal = milk_chain()
     # hand enumeration of all four subsets: only {0, 1} resolves the goal
     assert enumerate_resolutions(graph, kitchen, goal) == [(frozenset({0, 1}), 2)]
-    assert minimal_units(graph, kitchen, goal) == 2
-    assert minimal_depth(graph, kitchen, goal) == 2
+    assert minima(graph, kitchen, goal)[0] == 2
+    assert minima(graph, kitchen, goal)[1] == 2
 
 
 def test_or_graph_two_singleton_resolutions():
@@ -66,9 +66,9 @@ def test_unresolvable_goal():
     missing = GoalSpec(key_of("cake"))
     assert enumerate_resolutions(graph, kitchen, missing) == []
     with pytest.raises(UnresolvableGoal):
-        minimal_units(graph, kitchen, missing)
+        minima(graph, kitchen, missing)[0]
     with pytest.raises(UnresolvableGoal):
-        minimal_depth(graph, kitchen, missing)
+        minima(graph, kitchen, missing)[1]
 
 
 def test_guard_refuses_huge_enumerations():
@@ -85,7 +85,7 @@ def test_deep_chain_enumerates_without_recursion_error():
 def test_ladder_depth_is_computed_once_per_key():
     graph, kitchen, goal = ladder_graph(30)
     started = time.monotonic()
-    assert minimal_depth(graph, kitchen, goal) == 30
+    assert minima(graph, kitchen, goal)[1] == 30
     assert time.monotonic() - started < 1.0
 
 
@@ -117,4 +117,4 @@ def test_ids_depth_agrees_with_oracle_on_chains():
     for depth in range(1, 6):
         graph, kitchen, goal = chain_graph(depth)
         tree = retrieve_ids(graph, kitchen, goal)
-        assert tree.stats.final_depth_bound == minimal_depth(graph, kitchen, goal) == depth
+        assert tree.stats.final_depth_bound == minima(graph, kitchen, goal)[1] == depth

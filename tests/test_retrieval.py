@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from collections import Counter
@@ -7,7 +8,7 @@ from click.testing import CliRunner
 
 import foon.retrieval
 from foon.cli import main as cli_main
-from foon.core import GoalSpec, SearchStats, validate_task_tree
+from foon.core import Algorithm, GoalSpec, SearchStats, find_candidate_units, validate_task_tree
 from foon.data import corpus_file
 from foon.oracle import TooLarge, enumerate_resolutions
 from foon.parser import write_subgraph
@@ -453,13 +454,140 @@ def test_compare_computes_derivation_depths_once(tmp_path, corpus_graph, corpus_
     assert (info.misses, info.hits) == (1, 3 * len(corpus_goals))
 
 
+# --- the chain bound ----------------------------------------------------
+
+
+def _cap_search(graph, kitchen, goal, cap, stop_at_cut):
+    """IDS's search at bound ``cap``: whether it stopped at a cut, and its stats."""
+    stats = SearchStats(Algorithm.IDS)
+
+    def options(key, path):
+        for pos in find_candidate_units(graph, key):
+            stats.candidate_evaluations += 1
+            if path.isdisjoint(graph.units[pos].inputs):
+                yield pos
+
+    _, cut = foon.retrieval._backtrack(graph, kitchen, goal.target, options, stats, cap, stop_at_cut)
+    return cut, stats
+
+
+def _underivable_draws(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        size = {"max_units": 30, "max_branching": 4} if i % 2 else {}
+        graph, kitchen, goal, _ = random_instance(rng, **size)
+        if goal.target not in derivation_depths(graph, kitchen):
+            yield graph, kitchen, goal
+
+
+def test_chain_bound_rules_out_every_cut():
+    outcomes = Counter()
+    for graph, kitchen, goal in _underivable_draws(7, 3000):
+        bound = foon.retrieval._chain_bounds(graph, kitchen).get(goal.target, 1)
+        for cap in (0, 1, 2, 3, 5, 100):
+            cut, _ = _cap_search(graph, kitchen, goal, cap, stop_at_cut=True)
+            if bound <= cap:
+                assert not cut, (goal, cap)
+            outcomes[bound <= cap, cut] += 1
+    # the bound skipped searches, and where it did not, some searches cut
+    # and some did not
+    assert outcomes[True, False] >= 3000 and outcomes[False, True] >= 1000, outcomes
+    assert outcomes[False, False] >= 100, outcomes
+
+
+def test_first_cut_gives_the_reason_with_no_more_work():
+    stopped_early = 0
+    for graph, kitchen, goal in _underivable_draws(8, 1000):
+        for cap in (0, 1, 2, 3, 5, 100):
+            _, full = _cap_search(graph, kitchen, goal, cap, stop_at_cut=False)
+            cut, early = _cap_search(graph, kitchen, goal, cap, stop_at_cut=True)
+            # the reference searches every bound to the end
+            reason = _outcome(recursive_retrieve_ids, graph, kitchen, goal, cap)
+            assert reason == ("depth-cap-exhausted" if cut else "no-candidates")
+            assert early.units_expanded <= full.units_expanded
+            assert early.candidate_evaluations <= full.candidate_evaluations
+            stopped_early += early.units_expanded < full.units_expanded
+    assert stopped_early >= 100
+
+
+def _chain(n):
+    """Goal ``g0`` made from ``g1`` ... made from ``g{n-1}``, which nothing
+    makes: a chain of n keys, with an empty kitchen."""
+    graph = build_graph([([f"g{i + 1}"], f"m{i}", [f"g{i}"]) for i in range(n - 1)])
+    return graph, frozenset(), GoalSpec(key_of("g0"))
+
+
+CHAIN_BOUND_INSTANCES = {
+    # name: (graph, kitchen, goal, bound)
+    "chain-of-5": (*_chain(5), 5),
+    "cycle-without-entry": (
+        build_graph([(["b"], "m1", ["a"]), (["a"], "m2", ["b"])]),
+        frozenset(),
+        GoalSpec(key_of("a")),
+        2,
+    ),
+    "no-producers": (*milk_setup()[:2], GoalSpec(key_of("cake")), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_BOUND_INSTANCES))
+def test_chain_bound_named_instances(built_stats, name):
+    graph, kitchen, goal, bound = CHAIN_BOUND_INSTANCES[name]
+    assert foon.retrieval._chain_bounds(graph, kitchen).get(goal.target, 1) == bound
+    for cap, reason in ((bound - 1, "depth-cap-exhausted"), (bound, "no-candidates")):
+        with pytest.raises(UnresolvableGoal) as err:
+            retrieve_ids(graph, kitchen, goal, depth_cap=cap)
+        assert err.value.reason == reason == _outcome(recursive_retrieve_ids, graph, kitchen, goal, cap)
+    searched, skipped = built_stats
+    # below the bound the search stops at its first cut; at the bound none runs
+    assert searched.units_expanded == bound - 1
+    assert skipped.units_expanded == skipped.candidate_evaluations == 0
+
+
+def test_chain_bounds_are_read_only():
+    graph, kitchen, goal = _chain(3)
+    bounds = foon.retrieval._chain_bounds(graph, kitchen)
+    assert dict(bounds) == {key_of("g0"): 3, key_of("g1"): 2, key_of("g2"): 1}
+    with pytest.raises(TypeError):
+        bounds[goal.target] = 0
+
+
+def test_chain_bounds_deeper_than_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    graph, kitchen, goal = _chain(n)
+    assert foon.retrieval._chain_bounds(graph, kitchen)[goal.target] == n
+    with pytest.raises(UnresolvableGoal) as err:
+        retrieve_ids(graph, kitchen, goal, depth_cap=n)
+    assert err.value.reason == "no-candidates"
+
+
+def test_compare_computes_chain_bounds_only_for_underivable_ids_goals(tmp_path, corpus_graph):
+    universal = tmp_path / "universal.foon.txt"
+    universal.write_text(write_subgraph(corpus_graph.units), encoding="utf-8")
+    underivable = tmp_path / "goals.json"
+    underivable.write_text(json.dumps([{"object": name} for name in ("cake", "pie", "tart")]), encoding="utf-8")
+    kitchen = str(corpus_file("kitchen.json"))
+    foon.retrieval._chain_bounds.cache_clear()
+    resolvable = corpus_file("goal_nodes.json")
+    result = CliRunner().invoke(cli_main, ["compare", str(universal), kitchen, str(resolvable)])
+    assert result.exit_code == 0, result.output
+    info = foon.retrieval._chain_bounds.cache_info()
+    assert (info.misses, info.hits) == (0, 0)  # every goal resolves
+    result = CliRunner().invoke(cli_main, ["compare", str(universal), kitchen, str(underivable)])
+    assert result.exit_code == 1, result.output
+    info = foon.retrieval._chain_bounds.cache_info()
+    # the first IDS failure pays for the pass, the others read it
+    assert (info.misses, info.hits) == (1, 2)
+
+
 # --- the iterative engine against the recursive reference --------------
 
 
 def _outcome(retrieve, *args):
     """The reason of a failure; else the steps, every counter and the
     decision log. A failure's counters are left out: the engine decides it
-    from ``derivation_depths`` and skips searches the reference runs."""
+    from ``derivation_depths`` and the chain bound, and skips searches the
+    reference runs."""
     try:
         tree = retrieve(*args)
     except UnresolvableGoal as exc:
