@@ -64,12 +64,23 @@ class ObjectKey:
             raise ValueError("object name must be non-empty")
         states = tuple(sorted({s.strip().lower() for s in states if s.strip()}))
         ingredients = tuple(sorted(i.strip().lower() for i in ingredients if i.strip()))
-        fields = (name, states, ingredients)
+        return cls._intern((name, states, ingredients))
+
+    @classmethod
+    def _intern(cls, fields: tuple) -> "ObjectKey":
+        """The live key for already canonical ``(name, states, ingredients)``
+        fields, made and entered in the table if there is none.
+
+        The caller vouches for the fields: trimmed and lowercased, states
+        deduplicated and sorted, ingredients sorted. Fields in any other form
+        would make a second key for one object.
+        """
         key = cls._interned.get(fields)
         if key is None:
             with cls._intern_lock:
                 key = cls._interned.get(fields)  # another thread may have won
                 if key is None:
+                    name, states, ingredients = fields
                     key = object.__new__(cls)
                     object.__setattr__(key, "name", name)
                     object.__setattr__(key, "states", states)
@@ -162,7 +173,9 @@ class FunctionalUnit:
         return (FunctionalUnit, (self.inputs, self.motion, self.outputs))
 
     def _identity(self) -> tuple:
-        return (tuple(sorted(self.inputs)), self.motion.name, tuple(sorted(self.outputs)))
+        # keys are interned, so ordering them by id puts equal multisets in
+        # one order without calling ObjectKey.__lt__
+        return (tuple(sorted(self.inputs, key=id)), self.motion.name, tuple(sorted(self.outputs, key=id)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctionalUnit):

@@ -9,6 +9,7 @@ figures diff cleanly.
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Optional
 
 from .core import FoonGraph, ObjectKey, TaskTree
@@ -46,7 +47,8 @@ def to_dot(graph: FoonGraph, tree: Optional[TaskTree] = None) -> str:
 
     lines = ["digraph foon {"]
     ids: dict[ObjectKey, str] = {}
-    for key in sorted(roles):
+    # the order of ObjectKey.__lt__, compared in C
+    for key in sorted(roles, key=operator.attrgetter("name", "states", "ingredients")):
         label = str(key)
         ids[key] = "obj_" + hashlib.sha1(label.encode("utf-8")).hexdigest()[:10]
         color = _OBJECT_COLORS[roles[key]]

@@ -59,16 +59,50 @@ _UNWRITABLE = re.compile("[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029]")
 _FIELD_NAMES = {"O": "name", "S": "state", "I": "ingredient"}
 
 
+def _keys_of(objects: list[list], keys: dict[tuple, ObjectKey]) -> list[ObjectKey]:
+    # the key of each canonical [name, states, ingredients], built once per
+    # field set as read; later orders of those fields find it in ``keys``
+    found = []
+    for name, states, ingredients in objects:
+        fields = (name, tuple(states), tuple(ingredients))
+        key = keys.get(fields)
+        if key is None:
+            key = keys[fields] = ObjectKey._intern((name, tuple(sorted(set(states))), tuple(sorted(ingredients))))
+        found.append(key)
+    return found
+
+
 def parse_subgraph(text: str) -> list[FunctionalUnit]:
-    """Parse a subgraph file into its functional units, in file order."""
+    """Parse a subgraph file into its functional units, in file order.
+
+    Each distinct raw field is canonicalised once per call, and each distinct
+    object's key is built once per call from its canonical fields in the
+    order read. Both memos are locals, so no cache outlives the call.
+    """
     units: list[FunctionalUnit] = []
     # [name, states, ingredients] per object of the section being read: the
     # unit's inputs before its M line, its outputs after it
     objects: list[list] = []
     inputs: list[ObjectKey] = []
     motion: MotionNode | None = None
+    canon: dict[str, str] = {}  # raw O, S or I field -> trimmed and lowercased
+    keys: dict[tuple, ObjectKey] = {}  # canonical fields in the order read -> key
     line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        tag, _, value = raw.partition("\t")
+        if tag in _FIELD_NAMES:
+            if tag != "O" and not objects:
+                raise ParseError(line_no, f"{tag} line without a preceding O line")
+            field = canon.get(value)
+            if field is None:
+                if "\t" in value or not value.strip():
+                    raise ParseError(line_no, f"{tag} line needs exactly one {_FIELD_NAMES[tag]} field")
+                field = canon[value] = value.strip().lower()
+            if tag == "O":
+                objects.append([field, [], []])
+            else:
+                objects[-1][1 if tag == "S" else 2].append(field)
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -77,33 +111,22 @@ def parse_subgraph(text: str) -> list[FunctionalUnit]:
                 raise ParseError(line_no, "unit terminated without a motion line")
             if not objects:
                 raise ParseError(line_no, "unit has no output objects")
-            units.append(FunctionalUnit(inputs, motion, [ObjectKey(*entry) for entry in objects]))
+            units.append(FunctionalUnit(inputs, motion, _keys_of(objects, keys)))
             objects, motion = [], None
             continue
-        fields = raw.split("\t")
-        tag = fields[0]
-        if tag == "M":
-            if motion is not None:
-                raise ParseError(line_no, "second M line in one unit")
-            if not objects:
-                raise ParseError(line_no, "M line before any object in the unit")
-            if len(fields) < 2 or len(fields) > 4 or not fields[1].strip():
-                raise ParseError(line_no, "M line needs a motion name and at most two timestamps")
-            inputs, objects = [ObjectKey(*entry) for entry in objects], []
-            start = fields[2] if len(fields) > 2 else None
-            end = fields[3] if len(fields) > 3 else None
-            motion = MotionNode(fields[1], start, end)
-            continue
-        if tag not in _FIELD_NAMES:
+        if tag != "M":
             raise ParseError(line_no, f"unknown line tag {tag!r}")
-        if tag != "O" and not objects:
-            raise ParseError(line_no, f"{tag} line without a preceding O line")
-        if len(fields) != 2 or not fields[1].strip():
-            raise ParseError(line_no, f"{tag} line needs exactly one {_FIELD_NAMES[tag]} field")
-        if tag == "O":
-            objects.append([fields[1], [], []])
-        else:
-            objects[-1][1 if tag == "S" else 2].append(fields[1])
+        if motion is not None:
+            raise ParseError(line_no, "second M line in one unit")
+        if not objects:
+            raise ParseError(line_no, "M line before any object in the unit")
+        fields = raw.split("\t")
+        if len(fields) < 2 or len(fields) > 4 or not fields[1].strip():
+            raise ParseError(line_no, "M line needs a motion name and at most two timestamps")
+        inputs, objects = _keys_of(objects, keys), []
+        start = fields[2] if len(fields) > 2 else None
+        end = fields[3] if len(fields) > 3 else None
+        motion = MotionNode(fields[1], start, end)
 
     if objects or motion is not None:
         raise ParseError(line_no + 1, "unexpected end of file: unit missing '//' terminator")

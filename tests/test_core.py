@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 
 from foon.core import (
     DuplicateUnit,
+    FunctionalUnit,
     MotionNode,
     ObjectKey,
     find_candidate_units,
     index_outputs,
 )
+from foon.data import subgraph_paths
+from foon.export import to_dot
+from foon.merge import merge_subgraphs
 from foon.parser import parse_goal_nodes, parse_kitchen, parse_subgraph
 from helpers import build_graph, key_of, obj, unit
 
@@ -189,6 +193,32 @@ def test_unreferenced_key_leaves_the_intern_table():
     del key
     gc.collect()
     assert fields not in ObjectKey._interned
+
+
+def test_parser_keeps_no_key_past_its_call():
+    fields = ("parser memo probe", ("hot",), ("salt",))
+    units = parse_subgraph("O\tParser Memo Probe\nS\tHOT\nI\tsalt\nM\tmix\nO\tparser memo probe\nS\t hot\nI\tSalt\n//\n")
+    assert units[0].inputs[0] is units[0].outputs[0] is ObjectKey._interned[fields]
+    del units
+    gc.collect()
+    assert fields not in ObjectKey._interned
+
+
+def test_units_compare_and_hash_without_key_comparisons(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("ObjectKey.__lt__ called")
+
+    monkeypatch.setattr(ObjectKey, "__lt__", refuse)
+    subgraphs = [parse_subgraph(path.read_text()) for path in subgraph_paths()]
+    once = merge_subgraphs(subgraphs)
+    twice = merge_subgraphs(subgraphs + subgraphs)
+    assert twice.graph.units == once.graph.units
+    to_dot(twice.graph)
+    a, b, c = obj("a"), obj("b"), obj("c")
+    first = FunctionalUnit([a, b, a], MotionNode("mix"), [c])
+    second = FunctionalUnit([b, a, a], MotionNode("mix"), [c])
+    assert first == second and hash(first) == hash(second)
+    assert first != FunctionalUnit([a, b, b], MotionNode("mix"), [c])
 
 
 def test_graph_round_trips_through_pickle_and_deepcopy(corpus_graph):

@@ -97,9 +97,9 @@ CORPUS_SPLICES = ("O\t", "S\t \n", "I\t \n", "M\ta\tb\tc\td", "//", "#", "", "\t
 SOUP_TOKENS = ("O\ta", "S\ta", "I\ta", "M\ta", "O", "S", "I", "M", "//", "#", "a", " ", "\t")
 
 
-def _spliced_corpus_file(rng, corpora):
-    """A corpus file with one to three lines deleted, inserted or replaced."""
-    lines = rng.choice(corpora).splitlines(keepends=True)
+def _spliced(rng, text):
+    """The text with one to three lines deleted, inserted or replaced."""
+    lines = text.splitlines(keepends=True)
     for _ in range(rng.randint(1, 3)):
         pos = rng.randrange(len(lines) + 1)
         edit = rng.choice(("delete", "insert", "replace"))
@@ -129,13 +129,79 @@ def test_parse_subgraph_matches_reference_on_corrupted_input():
     corpora = [path.read_text() for path in subgraph_paths()]
     hits = Counter()
     for draw in range(10_000):
-        text = _spliced_corpus_file(rng, corpora) if draw % 2 else _token_soup(rng)
+        text = _spliced(rng, rng.choice(corpora)) if draw % 2 else _token_soup(rng)
         expected = _outcome(reference_parse_subgraph, text)
         assert _outcome(parse_subgraph, text) == expected, text
         if isinstance(expected, tuple):
             message = expected[1].split(": ", 1)[1]
             hits[next(m for m in REACHABLE_MESSAGES if message.startswith(m))] += 1
     assert {m: hits[m] for m in REACHABLE_MESSAGES if hits[m] < 20} == {}
+
+
+RECURRING_NAMES = ("cream", "bowl", "salad")
+RECURRING_STATES = ("raw", "whipped", "in [bowl]")
+RECURRING_INGREDIENTS = ("feta", "tomato")
+
+
+def _written_variant(rng, word):
+    cased = "".join(c.upper() if rng.random() < 0.5 else c for c in word)
+    return " " * rng.randint(0, 1) + cased + " " * rng.randint(0, 1)
+
+
+def _recurring_objects_file(rng):
+    """One to four units drawn from four objects, each occurrence written
+    anew: states and ingredients shuffled, states duplicated, every field in
+    mixed case and padded. Returns the text and each occurrence's written
+    ``(name, states, ingredients)``, in file order."""
+    objects = [
+        (
+            rng.choice(RECURRING_NAMES),
+            rng.sample(RECURRING_STATES, rng.randint(0, 2)),
+            rng.choices(RECURRING_INGREDIENTS, k=rng.randint(0, 2)),
+        )
+        for _ in range(4)
+    ]
+    lines, written = [], []
+    for _ in range(rng.randint(1, 4)):
+        for section in ("inputs", "outputs"):
+            for _ in range(rng.randint(1, 3)):
+                name, states, ingredients = rng.choice(objects)
+                states = states + rng.sample(states, rng.randint(0, len(states)))
+                occurrence = (
+                    _written_variant(rng, name),
+                    [_written_variant(rng, s) for s in rng.sample(states, len(states))],
+                    [_written_variant(rng, i) for i in rng.sample(ingredients, len(ingredients))],
+                )
+                written.append(occurrence)
+                lines += [f"O\t{occurrence[0]}", *(f"S\t{s}" for s in occurrence[1])]
+                lines += [f"I\t{i}" for i in occurrence[2]]
+            if section == "inputs":
+                lines.append("M\tmix")
+        lines.append("//")
+    return "".join(line + "\n" for line in lines), written
+
+
+def test_parse_subgraph_matches_reference_on_recurring_objects():
+    # objects recur in other orders and spellings, so the parser's per-call
+    # field and key memos both hit and miss
+    rng = random.Random(9)
+    outcomes = Counter()
+    for draw in range(2_000):
+        text, written = _recurring_objects_file(rng)
+        if draw % 2:
+            text = _spliced(rng, text)
+        expected = _outcome(reference_parse_subgraph, text)
+        assert _outcome(parse_subgraph, text) == expected, text
+        outcomes["error" if isinstance(expected, tuple) else "units"] += 1
+        if not draw % 2:
+            parsed = [key for u in parse_subgraph(text) for key in (*u.inputs, *u.outputs)]
+            assert len(parsed) == len(written)
+            spellings = {}
+            for key, fields in zip(parsed, written):
+                assert key is ObjectKey(*fields), (fields, text)
+                spellings.setdefault(key, set()).add(repr(fields))
+            outcomes["respelled"] += any(len(s) > 1 for s in spellings.values())
+    assert min(outcomes.values()) >= 300, outcomes
 
 
 def test_write_empty():
