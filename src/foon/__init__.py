@@ -1,86 +1,48 @@
 """FOON task tree retrieval: recipe subgraph parsing, merging, and
-goal-directed knowledge retrieval with IDS and GBFS."""
+goal-directed knowledge retrieval with IDS and GBFS.
 
-from .core import (
-    Algorithm,
-    Decision,
-    DuplicateUnit,
-    FoonError,
-    FoonGraph,
-    FunctionalUnit,
-    GoalSpec,
-    MotionNode,
-    ObjectKey,
-    SearchStats,
-    TaskTree,
-    find_candidate_units,
-    index_outputs,
-    validate_task_tree,
-)
-from .export import to_dot, write_task_tree
-from .merge import MergeResult, merge_subgraphs
-from .oracle import TooLarge, enumerate_resolutions, minima
-from .parser import (
-    ParseError,
-    ParseWarning,
-    SchemaError,
-    parse_goal_nodes,
-    parse_kitchen,
-    parse_motion_rates,
-    parse_subgraph,
-    write_subgraph,
-)
-from .retrieval import (
-    CyclicResolution,
-    HeuristicId,
-    UnresolvableGoal,
-    derivation_depths,
-    execution_order,
-    heuristic_input_count,
-    heuristic_success_rate,
-    retrieve_gbfs,
-    retrieve_ids,
-)
+The public names below are loaded on first use (PEP 562): ``import foon``
+imports no submodule, and ``foon.retrieve_ids`` imports
+:mod:`foon.retrieval` the first time it is read.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algorithm",
-    "CyclicResolution",
-    "Decision",
-    "DuplicateUnit",
-    "FoonError",
-    "FoonGraph",
-    "FunctionalUnit",
-    "GoalSpec",
-    "HeuristicId",
-    "MergeResult",
-    "MotionNode",
-    "ObjectKey",
-    "ParseError",
-    "ParseWarning",
-    "SchemaError",
-    "SearchStats",
-    "TaskTree",
-    "TooLarge",
-    "UnresolvableGoal",
-    "derivation_depths",
-    "enumerate_resolutions",
-    "execution_order",
-    "find_candidate_units",
-    "heuristic_input_count",
-    "heuristic_success_rate",
-    "index_outputs",
-    "merge_subgraphs",
-    "minima",
-    "parse_goal_nodes",
-    "parse_kitchen",
-    "parse_motion_rates",
-    "parse_subgraph",
-    "retrieve_gbfs",
-    "retrieve_ids",
-    "to_dot",
-    "validate_task_tree",
-    "write_subgraph",
-    "write_task_tree",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "core": (
+        "Algorithm", "Decision", "DuplicateUnit", "FoonError", "FoonGraph", "FunctionalUnit", "GoalSpec",
+        "MotionNode", "ObjectKey", "SearchStats", "TaskTree", "find_candidate_units", "index_outputs",
+        "validate_task_tree",
+    ),
+    "export": ("to_dot", "write_task_tree"),
+    "merge": ("MergeResult", "merge_subgraphs"),
+    "oracle": ("TooLarge", "enumerate_resolutions", "minima"),
+    "parser": (
+        "ParseError", "ParseWarning", "SchemaError", "parse_goal_nodes", "parse_kitchen",
+        "parse_motion_rates", "parse_subgraph", "write_subgraph",
+    ),
+    "retrieval": (
+        "CyclicResolution", "HeuristicId", "UnresolvableGoal", "derivation_depths", "execution_order",
+        "heuristic_input_count", "heuristic_success_rate", "retrieve_gbfs", "retrieve_ids",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # lets ``from foon import core`` fall back to importing the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | _MODULE_OF.keys())

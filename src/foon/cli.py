@@ -16,7 +16,6 @@ from pathlib import Path
 
 import click
 
-from . import oracle as oracle_mod
 from .core import FoonError, GoalSpec, TaskTree
 from .export import to_dot, write_task_tree
 from .merge import merge_subgraphs
@@ -166,6 +165,8 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
 
 
 def _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle):
+    if with_oracle:
+        from . import oracle  # imported only by the command that asks for it
     rows = []
     any_failure = False
     for goal in goals:
@@ -173,9 +174,9 @@ def _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle):
         # the oracle resolves exactly the goals the forward pass derives
         if with_oracle and goal.target in derivation_depths(graph, kitchen):
             try:
-                units, depth = oracle_mod.minima(graph, kitchen, goal)  # one enumeration for both
+                units, depth = oracle.minima(graph, kitchen, goal)  # one enumeration for both
                 oracle_cols = {"minimal_units": units, "minimal_depth": depth}
-            except oracle_mod.TooLarge as exc:
+            except oracle.TooLarge as exc:
                 click.echo(f"{goal.target}: oracle skipped ({exc})", err=True)
         for algo in ALGOS:
             row = {"goal": str(goal.target), "algorithm": algo}

@@ -8,16 +8,17 @@ objects on hand before execution, is a plain ``frozenset`` of keys. Keys are
 interned under a lock, so there is one instance per distinct key in a
 process, and key equality and hashing are ``object``'s identity versions.
 
-Everything here is immutable after construction and hashable where identity
-matters, so graphs and kitchens can be shared freely between concurrent
-retrievals.
+Everything here except :class:`SearchStats`, which a retrieval fills as it
+runs, is immutable after construction and hashable where identity matters,
+so graphs and kitchens can be shared freely between concurrent retrievals.
+The record types (motions, goals, decisions, stats, trees) are slotted
+classes that compare, hash, print and pickle by their field values.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import total_ordering
 from typing import Iterable, Optional, Sequence
@@ -30,6 +31,49 @@ class FoonError(Exception):
 class DuplicateUnit(FoonError):
     """Two equal functional units were passed where a deduplicated list was
     expected."""
+
+
+class Record:
+    """Value semantics for a slotted class whose ``__slots__`` are its fields,
+    in constructor order: equality and hashing by the field values, a
+    ``Cls(field=value, ...)`` repr, and pickling and copying through the
+    constructor."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class FrozenRecord(Record):
+    """A :class:`Record` whose fields cannot be assigned or deleted once its
+    ``__init__`` has stored them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+_set = object.__setattr__  # how a frozen record's __init__ stores its fields
 
 
 @total_ordering
@@ -117,27 +161,25 @@ class ObjectKey:
         return parts
 
 
-@dataclass(frozen=True)
-class MotionNode:
+class MotionNode(FrozenRecord):
     """A named manipulation action with optional annotation timestamps.
 
     Timestamps are carried through parsing and writing but never influence
     unit equality or retrieval.
     """
 
-    name: str
-    start_time: Optional[str] = None
-    end_time: Optional[str] = None
+    __slots__ = ("name", "start_time", "end_time")
 
-    def __post_init__(self):
-        name = self.name.strip().lower()
+    def __init__(self, name: str, start_time: Optional[str] = None, end_time: Optional[str] = None):
+        name = name.strip().lower()
         if not name:
             raise ValueError("motion name must be non-empty")
-        object.__setattr__(self, "name", name)
-        if self.start_time is None and self.end_time is not None:
+        if start_time is None:
             # a lone timestamp is always the start
-            object.__setattr__(self, "start_time", self.end_time)
-            object.__setattr__(self, "end_time", None)
+            start_time, end_time = end_time, None
+        _set(self, "name", name)
+        _set(self, "start_time", start_time)
+        _set(self, "end_time", end_time)
 
 
 class FunctionalUnit:
@@ -237,11 +279,13 @@ def find_candidate_units(graph: FoonGraph, needed: ObjectKey) -> tuple[int, ...]
     return graph.output_index.get(needed, ())
 
 
-@dataclass(frozen=True)
-class GoalSpec:
+class GoalSpec(FrozenRecord):
     """A retrieval target, canonicalized like any other object."""
 
-    target: ObjectKey
+    __slots__ = ("target",)
+
+    def __init__(self, target: ObjectKey):
+        _set(self, "target", target)
 
 
 class Algorithm(Enum):
@@ -250,40 +294,50 @@ class Algorithm(Enum):
     GBFS_H2 = "gbfs2"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(FrozenRecord):
     """One GBFS choice point: which candidate was taken for a needed key,
     out of the candidates still alive at that point."""
 
-    needed: ObjectKey
-    candidates: tuple[int, ...]
-    chosen: int
-    scores: tuple[float, ...]
+    __slots__ = ("needed", "candidates", "chosen", "scores")
 
-    def __post_init__(self):
-        if self.chosen not in self.candidates:
+    def __init__(self, needed: ObjectKey, candidates: tuple[int, ...], chosen: int, scores: tuple[float, ...]):
+        if chosen not in candidates:
             raise ValueError("chosen unit must be among the candidates")
-        if len(self.scores) != len(self.candidates):
+        if len(scores) != len(candidates):
             raise ValueError("one score per candidate")
+        _set(self, "needed", needed)
+        _set(self, "candidates", candidates)
+        _set(self, "chosen", chosen)
+        _set(self, "scores", scores)
 
 
-@dataclass
-class SearchStats:
-    """Instrumentation gathered during one retrieval run."""
+class SearchStats(Record):
+    """Instrumentation gathered during one retrieval run; the search fills
+    it in place, so it is mutable and unhashable."""
 
-    algorithm: Algorithm
-    units_expanded: int = 0
-    candidate_evaluations: int = 0
-    final_depth_bound: Optional[int] = None
-    decision_log: list[Decision] = field(default_factory=list)
+    __slots__ = ("algorithm", "units_expanded", "candidate_evaluations", "final_depth_bound", "decision_log")
+    __hash__ = None
+
+    def __init__(
+        self, algorithm: Algorithm, units_expanded: int = 0, candidate_evaluations: int = 0,
+        final_depth_bound: Optional[int] = None, decision_log: Optional[list[Decision]] = None,
+    ):
+        self.algorithm = algorithm
+        self.units_expanded = units_expanded
+        self.candidate_evaluations = candidate_evaluations
+        self.final_depth_bound = final_depth_bound
+        self.decision_log = [] if decision_log is None else decision_log
 
 
-@dataclass(frozen=True)
-class TaskTree:
-    """Execution-ordered unit positions extracted for a goal, plus stats."""
+class TaskTree(FrozenRecord):
+    """Execution-ordered unit positions extracted for a goal, plus stats.
+    Hashing one raises ``TypeError``, since its stats are unhashable."""
 
-    steps: tuple[int, ...]
-    stats: SearchStats
+    __slots__ = ("steps", "stats")
+
+    def __init__(self, steps: tuple[int, ...], stats: SearchStats):
+        _set(self, "steps", steps)
+        _set(self, "stats", stats)
 
 
 def validate_task_tree(

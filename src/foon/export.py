@@ -8,7 +8,6 @@ figures diff cleanly.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from typing import Optional
 
@@ -35,6 +34,8 @@ def _quote(label: str) -> str:
 
 def to_dot(graph: FoonGraph, tree: Optional[TaskTree] = None) -> str:
     """Render the graph (or just the tree's units) as a DOT digraph."""
+    import hashlib  # loads OpenSSL, so only a command that draws pays for it
+
     positions = range(len(graph.units)) if tree is None else tree.steps
 
     roles: dict[ObjectKey, int] = {}  # bit 1: an input of some unit, bit 2: an output

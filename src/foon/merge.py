@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FoonGraph, FunctionalUnit, index_outputs
+from .core import FoonGraph, FrozenRecord, FunctionalUnit, index_outputs
 
 
-@dataclass(frozen=True)
-class MergeResult:
-    graph: FoonGraph
-    kept: int
-    dropped: int
+class MergeResult(FrozenRecord):
+    """The merged graph, and how many units were kept and dropped."""
+
+    __slots__ = ("graph", "kept", "dropped")
+
+    def __init__(self, graph: FoonGraph, kept: int, dropped: int):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "dropped", dropped)
 
 
 def merge_subgraphs(subgraphs: Sequence[Sequence[FunctionalUnit]]) -> MergeResult:

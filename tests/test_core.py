@@ -12,16 +12,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from foon.core import (
+    Algorithm,
+    Decision,
     DuplicateUnit,
     FunctionalUnit,
+    GoalSpec,
     MotionNode,
     ObjectKey,
+    SearchStats,
+    TaskTree,
     find_candidate_units,
     index_outputs,
 )
 from foon.data import subgraph_paths
 from foon.export import to_dot
-from foon.merge import merge_subgraphs
+from foon.merge import MergeResult, merge_subgraphs
 from foon.parser import parse_goal_nodes, parse_kitchen, parse_subgraph
 from helpers import build_graph, key_of, obj, unit
 
@@ -232,6 +237,81 @@ def test_graph_round_trips_through_pickle_and_deepcopy(corpus_graph):
             assert all(a is b for a, b in zip(unit_copy.outputs, original.outputs))
         for key in copied.output_index:
             assert originals[key] is key
+
+
+def test_record_types_keep_their_value_semantics():
+    key = key_of("cream", ["whipped"])
+    motion = MotionNode("  Whip ", None, "3:20")  # canonicalised; a lone timestamp is the start
+    decision = Decision(key, (1, 4), 4, (2.0, 1.0))
+    stats = SearchStats(Algorithm.GBFS_H2, 3, 5, None, [decision])
+    tree = TaskTree((1, 4), stats)
+    graph = index_outputs([])
+    merged = MergeResult(graph, 0, 2)
+    cream = "ObjectKey('cream', states=['whipped'], ingredients=[])"
+    assert repr(motion) == "MotionNode(name='whip', start_time='3:20', end_time=None)"
+    assert repr(GoalSpec(key)) == f"GoalSpec(target={cream})"
+    assert repr(decision) == f"Decision(needed={cream}, candidates=(1, 4), chosen=4, scores=(2.0, 1.0))"
+    stats_repr = (
+        "SearchStats(algorithm=<Algorithm.GBFS_H2: 'gbfs2'>, units_expanded=3, "
+        f"candidate_evaluations=5, final_depth_bound=None, decision_log=[{decision!r}])"
+    )
+    assert repr(stats) == stats_repr
+    assert repr(tree) == f"TaskTree(steps=(1, 4), stats={stats_repr})"
+    assert repr(merged) == f"MergeResult(graph={graph!r}, kept=0, dropped=2)"
+
+    hashable = [motion, GoalSpec(key), decision, merged]
+    twins = [
+        MotionNode(name="whip", start_time="3:20"),
+        GoalSpec(target=key),
+        Decision(needed=key, candidates=(1, 4), chosen=4, scores=(2.0, 1.0)),
+        MergeResult(graph, 0, 2),
+    ]
+    for record, twin in zip(hashable, twins):
+        assert record == twin and hash(record) == hash(twin) and record is not twin
+        assert record != (record,)
+    assert motion != MotionNode("whip", "3:20", "3:30") and motion != MotionNode("beat", "3:20")
+    assert decision != Decision(key, (1, 4), 1, (2.0, 1.0))
+    assert stats == SearchStats(Algorithm.GBFS_H2, 3, 5, None, [decision])
+    assert stats != SearchStats(Algorithm.GBFS_H2, 3, 5)
+    assert tree == TaskTree((1, 4), SearchStats(Algorithm.GBFS_H2, 3, 5, None, [decision]))
+    assert tree != TaskTree((4, 1), stats)
+    for unhashable in (stats, tree):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+    for record in [motion, GoalSpec(key), decision, stats, tree]:
+        for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert copied == record and type(copied) is type(record)
+    merged_copy = pickle.loads(pickle.dumps(merged))
+    assert (merged_copy.graph.units, merged_copy.kept, merged_copy.dropped) == ((), 0, 2)
+
+    for record, field in [
+        (motion, "name"),
+        (GoalSpec(key), "target"),
+        (decision, "chosen"),
+        (tree, "steps"),
+        (merged, "kept"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    stats.units_expanded += 1  # a search fills its stats in place
+    stats.decision_log.append(decision)
+    assert (stats.units_expanded, len(stats.decision_log)) == (4, 2)
+    fresh = SearchStats(Algorithm.IDS)
+    assert fresh == SearchStats(
+        algorithm=Algorithm.IDS, units_expanded=0, candidate_evaluations=0, final_depth_bound=None, decision_log=[]
+    )
+    assert fresh.decision_log is not SearchStats(Algorithm.IDS).decision_log
+
+    assert MotionNode("whip", "1:00", "2:00").end_time == "2:00"
+    with pytest.raises(ValueError, match="motion name must be non-empty"):
+        MotionNode("  ")
+    with pytest.raises(ValueError, match="chosen unit must be among the candidates"):
+        Decision(key, (1, 4), 2, (2.0, 1.0))
+    with pytest.raises(ValueError, match="one score per candidate"):
+        Decision(key, (1, 4), 4, (2.0,))
 
 
 def test_keys_built_concurrently_stay_equal():

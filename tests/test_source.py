@@ -69,9 +69,36 @@ def test_scan_finds_relative_imports():
     assert package_imports(source) == {"core", "oracle", "parser"}
 
 
+def module_level_imports(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports at module
+    level, absolute imports only; an import inside a function is skipped."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_scan_finds_module_level_imports():
+    source = (
+        "import json, os.path\nfrom dataclasses import dataclass\nfrom .core import ObjectKey\n"
+        "def draw():\n    import hashlib\n"
+    )
+    assert module_level_imports(source) == {"json", "os", "dataclasses"}
+
+
 def test_layers_import_only_the_layers_below():
     # the domain types stand alone, and the searches need nothing but them
     layers = {"core": set(), "retrieval": {"core"}}
     assert {
         name: package_imports((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) for name in layers
     } == layers
+    # and no module makes every process load what only some commands need:
+    # creating dataclasses costs milliseconds, and hashlib loads OpenSSL
+    assert {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := module_level_imports(path.read_text(encoding="utf-8")) & {"dataclasses", "hashlib"})
+    } == {}
