@@ -211,6 +211,9 @@ class FunctionalUnit:
     def __setattr__(self, *_):
         raise AttributeError("FunctionalUnit is immutable")
 
+    def __delattr__(self, *_):
+        raise AttributeError("FunctionalUnit is immutable")
+
     def __reduce__(self):
         return (FunctionalUnit, (self.inputs, self.motion, self.outputs))
 
@@ -248,6 +251,9 @@ class FoonGraph:
         object.__setattr__(self, "output_index", dict(output_index))
 
     def __setattr__(self, *_):
+        raise AttributeError("FoonGraph is immutable")
+
+    def __delattr__(self, *_):
         raise AttributeError("FoonGraph is immutable")
 
     def __reduce__(self):

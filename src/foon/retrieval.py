@@ -12,7 +12,9 @@ candidate units to try for a needed key, in order:
   until a full resolution fits.
 * :func:`retrieve_gbfs` yields them best-first by a heuristic (motion
   success rate, maximized, or input-object + ingredient count, minimized),
-  logging each choice, with no bound.
+  logging each choice, with no bound. Input counts are memoised per graph
+  as candidates are scored (:func:`_input_counts`); a failed goal scores
+  nothing.
 
 Both take the kitchen as a ``frozenset`` of keys and motion success rates as
 a mapping of motion name to rate, so this module needs only :mod:`foon.core`.
@@ -238,6 +240,16 @@ def derivation_depths(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mappin
 
 
 @lru_cache(maxsize=1)
+def _input_counts(graph: FoonGraph) -> dict[int, float]:
+    """The h2 scores of ``graph``'s units by position, which
+    :func:`retrieve_gbfs` fills as it scores candidates, so no unit is scored
+    twice and none that no retrieval meets is scored at all. The memo of the
+    one most recent graph is cached; threads that race on a unit write the
+    same score."""
+    return {}
+
+
+@lru_cache(maxsize=1)
 def _chain_bounds(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mapping[ObjectKey, int]:
     """An upper bound on the keys of a simple chain from each key in the
     needs graph (see the module docstring). The map holds every key not in
@@ -359,8 +371,9 @@ def _backtrack(
             if key is not None:
                 level = frame[1] + 1
                 break
-            inputs = units[producer[frame[0]]].inputs
-            height[frame[0]] = 1 + max(height.get(ikey, 0) for ikey in inputs)
+            if bound is not None:  # only a bound reads heights
+                inputs = units[producer[frame[0]]].inputs
+                height[frame[0]] = 1 + max(height.get(ikey, 0) for ikey in inputs)
             stack.pop()
             path.discard(frame[0])
             ok = True
@@ -396,25 +409,26 @@ def retrieve_ids(
     if depth_cap < 0:
         raise ValueError("depth_cap must be >= 0")
     stats = SearchStats(Algorithm.IDS)
-    units = graph.units
     target = goal.target
-
-    def options(key: ObjectKey, path: set):
-        for pos in find_candidate_units(graph, key):
-            stats.candidate_evaluations += 1
-            if path.isdisjoint(units[pos].inputs):  # else it would revisit the path
-                yield pos
-
     depth = derivation_depths(graph, kitchen).get(target)
     if depth is None:
         # every bound fails; one that cuts nothing runs alike at all larger ones,
         # and a cut needs a chain longer than the cap
         if _chain_bounds(graph, kitchen).get(target, 1) <= depth_cap:
             raise UnresolvableGoal(target, "no-candidates")
+    elif depth > depth_cap:
+        raise UnresolvableGoal(target, "depth-cap-exhausted")
+    units, producers = graph.units, graph.output_index.get
+
+    def options(key: ObjectKey, path: set):
+        for pos in producers(key, ()):
+            stats.candidate_evaluations += 1
+            if path.isdisjoint(units[pos].inputs):  # else it would revisit the path
+                yield pos
+
+    if depth is None:
         _, cut = _backtrack(graph, kitchen, target, options, stats, depth_cap, stop_at_cut=True)
         raise UnresolvableGoal(target, "depth-cap-exhausted" if cut else "no-candidates")
-    if depth > depth_cap:
-        raise UnresolvableGoal(target, "depth-cap-exhausted")
     for bound in range(depth_cap + 1):
         # a derivable goal fails a bound only where the bound cut a branch
         producer, _ = _backtrack(graph, kitchen, target, options, stats, bound)
@@ -437,10 +451,12 @@ def retrieve_gbfs(
     tried best-first (highest success rate, or lowest input count; ties go to
     the lowest unit index). Each attempt is appended to
     ``stats.decision_log`` with the candidates still alive at that point.
+    Input counts are read from, and added to, the graph's memo
+    (:func:`_input_counts`).
 
     A goal that :func:`derivation_depths` cannot derive fails without a
-    search, so its counters are 0 and its log is empty; any other goal
-    resolves (see the module docstring).
+    search, so its counters are 0, its log is empty and it scores nothing;
+    any other goal resolves (see the module docstring).
     """
     minimize = heuristic is HeuristicId.INPUT_COUNT
     stats = SearchStats(
@@ -451,18 +467,23 @@ def retrieve_gbfs(
     if target not in derivation_depths(graph, kitchen):
         raise UnresolvableGoal(target, "dead-end" if find_candidate_units(graph, target) else "no-candidates")
 
-    # min and max both return the first best candidate: ties go to the lowest unit
-    if minimize:
-        best, score = min, lambda unit: float(heuristic_input_count(unit))
-    else:
-        best, score = max, lambda unit: heuristic_success_rate(unit, rates)
+    producers = graph.output_index.get
+    best, counts = (min, _input_counts(graph)) if minimize else (max, None)
 
     def options(key: ObjectKey, path: set):
-        alive = [pos for pos in find_candidate_units(graph, key) if path.isdisjoint(units[pos].inputs)]
-        scores = [score(units[pos]) for pos in alive]
+        alive = [pos for pos in producers(key, ()) if path.isdisjoint(units[pos].inputs)]
+        if minimize:
+            for pos in alive:
+                if pos not in counts:
+                    counts[pos] = float(heuristic_input_count(units[pos]))
+            scores = [counts[pos] for pos in alive]
+        else:
+            scores = [rates.get(units[pos].motion.name, 0.0) for pos in alive]
         stats.candidate_evaluations += len(alive)
         while alive:
-            i = best(range(len(alive)), key=scores.__getitem__)
+            # min and max return the first best score, and `alive` ascends, so
+            # ties go to the lowest unit
+            i = scores.index(best(scores))
             stats.decision_log.append(Decision(key, tuple(alive), alive[i], tuple(scores)))
             yield alive[i]
             del alive[i], scores[i]

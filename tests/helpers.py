@@ -89,13 +89,20 @@ def fan_graph(width):
     return build_graph(specs), frozenset({key_of("x")}), GoalSpec(key_of("g0"))
 
 
-def random_instance(rng: random.Random, max_units=12, max_branching=3):
+def random_instance(rng: random.Random, max_units=12, max_branching=3, max_ingredients=0):
     """A random small retrieval instance: graph, kitchen, goal, rates.
 
-    Cycles and unresolvable goals are both possible on purpose.
+    Cycles and unresolvable goals are both possible on purpose. Each object
+    carries 0 to ``max_ingredients`` ingredients; with the default 0 it has
+    none and no draw is spent on them.
     """
     n_objects = rng.randint(4, 9)
     names = [f"obj{i}" for i in range(n_objects)]
+    pantry = ["salt", "sugar", "egg", "flour", "oil"]
+    keys = {
+        name: key_of(name, ingredients=rng.sample(pantry, rng.randint(0, max_ingredients)) if max_ingredients else ())
+        for name in names
+    }
     motions = ["chop", "stir", "bake", "pour", "mix"]
     units = []
     seen = set()
@@ -105,13 +112,13 @@ def random_instance(rng: random.Random, max_units=12, max_branching=3):
                 break
             n_inputs = rng.randint(1, 2)
             inputs = rng.sample([n for n in names if n != name], n_inputs)
-            u = unit(inputs, rng.choice(motions), [name])
+            u = unit([keys[n] for n in inputs], rng.choice(motions), [keys[name]])
             if u not in seen:
                 seen.add(u)
                 units.append(u)
     graph = index_outputs(units)
-    kitchen = frozenset({key_of(n) for n in names if rng.random() < 0.35})
-    goal = GoalSpec(key_of(names[0]))
+    kitchen = frozenset({keys[n] for n in names if rng.random() < 0.35})
+    goal = GoalSpec(keys[names[0]])
     rates = {m: round(rng.random(), 2) for m in motions if rng.random() < 0.8}
     return graph, kitchen, goal, rates
 

@@ -239,6 +239,19 @@ def test_graph_round_trips_through_pickle_and_deepcopy(corpus_graph):
             assert originals[key] is key
 
 
+def test_units_and_graphs_refuse_deletion():
+    whip = unit(["cream"], "whip", ["whipped cream"])
+    graph = index_outputs([whip])
+    for target in (whip, graph):
+        before = {field: getattr(target, field) for field in type(target).__slots__}
+        shown, hashed = repr(target), hash(target)
+        for field in before:
+            with pytest.raises(AttributeError):
+                delattr(target, field)
+        assert {field: getattr(target, field) for field in before} == before
+        assert (repr(target), hash(target)) == (shown, hashed)
+
+
 def test_record_types_keep_their_value_semantics():
     key = key_of("cream", ["whipped"])
     motion = MotionNode("  Whip ", None, "3:20")  # canonicalised; a lone timestamp is the start

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 
 import foon.retrieval
 from foon.cli import main as cli_main
-from foon.core import Algorithm, GoalSpec, SearchStats, find_candidate_units, validate_task_tree
+from foon.core import Algorithm, GoalSpec, SearchStats, find_candidate_units, index_outputs, validate_task_tree
 from foon.data import corpus_file
 from foon.oracle import TooLarge, enumerate_resolutions
 from foon.parser import write_subgraph
@@ -628,6 +629,101 @@ def test_engine_matches_recursive_reference(corpus_graph, corpus_kitchen, corpus
         assert outcomes[name, "no-candidates"] >= 50, name
     for name in ("success-rate", "input-count"):
         assert outcomes[name, "dead-end"] >= 50, name
+
+
+def test_gbfs_matches_recursive_reference_as_input_counts_vary_and_graphs_switch():
+    # ingredients spread input counts past 1 and 2 and still tie; each round
+    # runs every goal of one graph with both heuristics, and the rounds go
+    # A, B, A, so the memo of input counts is read warm, then replaced
+    rng = random.Random(14)
+    foon.retrieval._input_counts.cache_clear()
+    outcomes, counts, ties = Counter(), Counter(), 0
+    for _ in range(150):
+        pair = [random_instance(rng, max_units=16, max_ingredients=3) for _ in range(2)]
+        for graph, kitchen, _, rates in pair + pair[:1]:
+            for target in graph.output_index:
+                for heuristic in HeuristicId:
+                    args = (graph, kitchen, GoalSpec(target), heuristic, rates)
+                    got = _outcome(retrieve_gbfs, *args)
+                    assert got == _outcome(recursive_retrieve_gbfs, *args), (heuristic, target)
+                    outcomes[heuristic, got if isinstance(got, str) else "resolved"] += 1
+                    if heuristic is HeuristicId.INPUT_COUNT and not isinstance(got, str):
+                        for decision in got[-1]:
+                            counts.update(decision.scores)
+                            ties += decision.scores.count(min(decision.scores)) > 1
+    for heuristic in HeuristicId:
+        assert outcomes[heuristic, "resolved"] >= 1000 and outcomes[heuristic, "dead-end"] >= 400, heuristic
+    assert sorted(counts) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0] and ties >= 150
+    info = foon.retrieval._input_counts.cache_info()
+    assert info.misses >= 300 and info.hits >= 1000
+
+
+def test_input_count_memo_stays_off_failures_and_success_rates(tmp_path, corpus_graph, corpus_goals):
+    universal = tmp_path / "universal.foon.txt"
+    universal.write_text(write_subgraph(corpus_graph.units), encoding="utf-8")
+    underivable = tmp_path / "goals.json"
+    underivable.write_text(json.dumps([{"object": name} for name in ("cake", "pie", "tart")]), encoding="utf-8")
+    inputs = [str(universal), str(corpus_file("kitchen.json"))]
+    resolvable = str(corpus_file("goal_nodes.json"))
+    foon.retrieval._input_counts.cache_clear()
+    for args, exit_code in [
+        (["compare", *inputs, str(underivable)], 1),  # every algorithm, every goal fails
+        (["retrieve", *inputs, resolvable, "--algo", "gbfs1", "--out-dir", str(tmp_path / "h1")], 0),
+    ]:
+        result = CliRunner().invoke(cli_main, args)
+        assert result.exit_code == exit_code, result.output
+        info = foon.retrieval._input_counts.cache_info()
+        assert (info.misses, info.hits) == (0, 0)
+    args = ["retrieve", *inputs, resolvable, "--algo", "gbfs2", "--out-dir", str(tmp_path / "h2")]
+    result = CliRunner().invoke(cli_main, args)
+    assert result.exit_code == 0, result.output
+    info = foon.retrieval._input_counts.cache_info()
+    assert (info.misses, info.hits) == (1, len(corpus_goals) - 1)
+
+
+def test_concurrent_gbfs_over_one_graph_matches_serial_runs():
+    # the memo of input counts is the one mutable thing retrievals over a
+    # shared graph share; threads that fill it at once from cold must see the
+    # scores a serial run sees
+    rng = random.Random(4)
+    layers = [
+        [key_of(f"o{layer}_{i}", ingredients=rng.sample(["egg", "salt", "oil"], rng.randint(0, 3))) for i in range(30)]
+        for layer in range(7)
+    ]
+    units = [
+        unit(rng.sample(layers[layer + 1], 3), rng.choice(["mix", "stir", "bake"]), [key])
+        for layer in range(6)
+        for key in layers[layer]
+        for _ in range(3)
+    ]
+    graph = index_outputs(list(dict.fromkeys(units)))
+    kitchen = frozenset(layers[6])
+    goals = [GoalSpec(key) for key in layers[0]]
+
+    def run_all(order):
+        return {goal: _outcome(retrieve_gbfs, graph, kitchen, goal, HeuristicId.INPUT_COUNT) for goal in order}
+
+    foon.retrieval._input_counts.cache_clear()
+    serial = run_all(goals)
+    assert all(not isinstance(outcome, str) for outcome in serial.values())
+    results = []
+    foon.retrieval._input_counts.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda seed=seed: results.append(run_all(random.Random(seed).sample(goals, 30))))
+            for seed in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4
+    assert all(result == serial for result in results)
 
 
 # --- deep graphs --------------------------------------------------------
