@@ -2,14 +2,16 @@
 algorithms, and render DOT figures.
 
 Exit codes: 0 on success, 1 when one or more goals could not be resolved,
-2 on usage, parse, or I/O errors. Option values beat environment variables
-(``FOON_DEPTH_CAP``, ``FOON_MOTION_RATES``), which beat defaults.
+2 on a usage error or a failure to read, parse or write anything, stdout
+included. Option values beat environment variables (``FOON_DEPTH_CAP``,
+``FOON_MOTION_RATES``), which beat defaults.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 import sys
 from pathlib import Path
@@ -62,14 +64,11 @@ def _load_graph(path: str):
 
 
 def _load_inputs(universal: str, kitchen_file: str, goals_file: str, rates_file: str | None):
-    """Graph, kitchen, goals and motion rates; exit 2 when a file cannot be read or parsed."""
-    try:
-        graph = _load_graph(universal)
-        kitchen = parse_kitchen(_read(kitchen_file))
-        goals = parse_goal_nodes(_read(goals_file))
-        rates = {} if rates_file is None else parse_motion_rates(_read(rates_file))
-    except FoonError as exc:
-        _fail(str(exc))
+    """Graph, kitchen, goals and motion rates."""
+    graph = _load_graph(universal)
+    kitchen = parse_kitchen(_read(kitchen_file))
+    goals = parse_goal_nodes(_read(goals_file))
+    rates = {} if rates_file is None else parse_motion_rates(_read(rates_file))
     # fill the cache every retrieval reads, so loading pays for it once
     # rather than the first retrieval
     derivation_depths(graph, kitchen)
@@ -104,7 +103,19 @@ rates_option = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (FoonError, OSError) as exc:  # from any command, stdout writes included
+            try:
+                sys.stdout.flush()
+            except OSError:  # drop the bytes stdout cannot take, or the exit flush fails too
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _fail(str(exc))
+
+
+@click.group(cls=_Group)
 def main():
     """Build FOON graphs from recipe subgraphs and extract task trees."""
 
@@ -114,11 +125,8 @@ def main():
 @click.option("--out", "-o", required=True, type=click.Path(dir_okay=False), help="Universal FOON output path.")
 def cmd_merge(inputs, out):
     """Merge recipe subgraph files into one universal FOON."""
-    try:
-        result = merge_subgraphs([parse_subgraph(_read(path)) for path in inputs])
-        Path(out).write_text(write_subgraph(result.graph.units), encoding="utf-8")
-    except (FoonError, OSError) as exc:
-        _fail(str(exc))
+    result = merge_subgraphs([parse_subgraph(_read(path)) for path in inputs])
+    Path(out).write_text(write_subgraph(result.graph.units), encoding="utf-8")
     click.echo(f"kept {result.kept} units, dropped {result.dropped} duplicates -> {out}")
 
 
@@ -134,10 +142,7 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
     """Extract one task tree per goal and write .foon.txt + .dot files."""
     graph, kitchen, goals, rates = _load_inputs(universal, kitchen_file, goals_file, motion_rates)
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _fail(str(exc))
+    out.mkdir(parents=True, exist_ok=True)
     failures = 0
     stems = set()
     for goal in goals:
@@ -154,11 +159,8 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
             suffix += 1
             stem = f"{base}_{suffix}"
         stems.add(stem)
-        try:
-            (out / f"{stem}.foon.txt").write_text(write_task_tree(graph, tree), encoding="utf-8")
-            (out / f"{stem}.dot").write_text(to_dot(graph, tree), encoding="utf-8")
-        except OSError as exc:
-            _fail(str(exc))
+        (out / f"{stem}.foon.txt").write_text(write_task_tree(graph, tree), encoding="utf-8")
+        (out / f"{stem}.dot").write_text(to_dot(graph, tree), encoding="utf-8")
         click.echo(f"{label}: {len(tree.steps)} units -> {stem}.foon.txt")
     if failures:
         sys.exit(1)
@@ -237,10 +239,7 @@ def cmd_compare(universal, kitchen_file, goals_file, with_oracle, fmt, depth_cap
     """Run all three algorithms per goal and report unit counts."""
     graph, kitchen, goals, rates = _load_inputs(universal, kitchen_file, goals_file, motion_rates)
     rows, any_failure = _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle)
-    if fmt == "csv":
-        click.echo(render_csv(rows, with_oracle), nl=False)
-    else:
-        click.echo(_render_table(rows), nl=False)
+    click.echo(render_csv(rows, with_oracle) if fmt == "csv" else _render_table(rows), nl=False)
     if any_failure:
         sys.exit(1)
 
@@ -250,11 +249,8 @@ def cmd_compare(universal, kitchen_file, goals_file, with_oracle, fmt, depth_cap
 @click.option("--out", "-o", required=True, type=click.Path(dir_okay=False), help="DOT output path.")
 def cmd_viz(graph_file, out):
     """Render a subgraph, universal FOON, or task tree file as DOT."""
-    try:
-        graph = _load_graph(graph_file)
-        Path(out).write_text(to_dot(graph), encoding="utf-8")
-    except (FoonError, OSError) as exc:
-        _fail(str(exc))
+    graph = _load_graph(graph_file)
+    Path(out).write_text(to_dot(graph), encoding="utf-8")
     click.echo(f"wrote {out}")
 
 

@@ -11,8 +11,13 @@ process, and key equality and hashing are ``object``'s identity versions.
 Everything here except :class:`SearchStats`, which a retrieval fills as it
 runs, is immutable after construction and hashable where identity matters,
 so graphs and kitchens can be shared freely between concurrent retrievals.
-The record types (motions, goals, decisions, stats, trees) are slotted
-classes that compare, hash, print and pickle by their field values.
+One guard, :class:`Frozen`, refuses every assignment and deletion, and
+constructors store their fields through ``_set``. The record types
+(motions, goals, decisions, stats, trees) are slotted classes that compare,
+hash, print and pickle by their field values.
+
+A key's producers are ``graph.output_index.get(key, ())``: the positions of
+the units whose outputs hold it, ascending, each unit once.
 """
 
 from __future__ import annotations
@@ -60,24 +65,29 @@ class Record:
         return (type(self), self._values())
 
 
-class FrozenRecord(Record):
-    """A :class:`Record` whose fields cannot be assigned or deleted once its
-    ``__init__`` has stored them with ``object.__setattr__``."""
+class Frozen:
+    """A slotted class whose fields cannot be assigned or deleted once its
+    constructor has stored them with ``_set``."""
 
     __slots__ = ()
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __delattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
 
 
-_set = object.__setattr__  # how a frozen record's __init__ stores its fields
+_set = object.__setattr__  # how a frozen class's constructor stores its fields
+
+
+class FrozenRecord(Record, Frozen):
+    """A :class:`Record` that is :class:`Frozen`."""
+
+    __slots__ = ()
 
 
 @total_ordering
-class ObjectKey:
+class ObjectKey(Frozen):
     """An object: its name, state set and ingredient list, canonicalized.
 
     The constructor trims and lowercases every field, deduplicates and sorts
@@ -106,40 +116,32 @@ class ObjectKey:
         name = name.strip().lower()
         if not name:
             raise ValueError("object name must be non-empty")
-        states = tuple(sorted({s.strip().lower() for s in states if s.strip()}))
-        ingredients = tuple(sorted(i.strip().lower() for i in ingredients if i.strip()))
-        return cls._intern((name, states, ingredients))
+        states = [s.strip().lower() for s in states if s.strip()]
+        ingredients = [i.strip().lower() for i in ingredients if i.strip()]
+        return cls._intern(name, states, ingredients)
 
     @classmethod
-    def _intern(cls, fields: tuple) -> "ObjectKey":
-        """The live key for already canonical ``(name, states, ingredients)``
-        fields, made and entered in the table if there is none.
+    def _intern(cls, name: str, states: Iterable[str], ingredients: Iterable[str]) -> "ObjectKey":
+        """The live key for trimmed and lowercased fields, in any order and
+        with duplicates, made and entered in the table if there is none.
 
-        The caller vouches for the fields: trimmed and lowercased, states
-        deduplicated and sorted, ingredients sorted. Fields in any other form
-        would make a second key for one object.
+        This is where a key's fields take their canonical order: states
+        deduplicated and sorted, ingredients sorted.
         """
+        fields = (name, tuple(sorted(set(states))), tuple(sorted(ingredients)))
         key = cls._interned.get(fields)
         if key is None:
             with cls._intern_lock:
                 key = cls._interned.get(fields)  # another thread may have won
                 if key is None:
-                    name, states, ingredients = fields
                     key = object.__new__(cls)
-                    object.__setattr__(key, "name", name)
-                    object.__setattr__(key, "states", states)
-                    object.__setattr__(key, "ingredients", ingredients)
+                    for slot, value in zip(("name", "states", "ingredients"), fields):
+                        _set(key, slot, value)
                     cls._interned[fields] = key
         return key
 
     def __reduce__(self):
         return (ObjectKey, self._fields())
-
-    def __setattr__(self, *_):
-        raise AttributeError("ObjectKey is immutable")
-
-    def __delattr__(self, *_):
-        raise AttributeError("ObjectKey is immutable")
 
     def _fields(self) -> tuple:
         return (self.name, self.states, self.ingredients)
@@ -182,7 +184,7 @@ class MotionNode(FrozenRecord):
         _set(self, "end_time", end_time)
 
 
-class FunctionalUnit:
+class FunctionalUnit(Frozen):
     """Input objects + one motion + output objects; the atom of FOON knowledge.
 
     Equality compares input/output key multisets and the motion name;
@@ -201,18 +203,12 @@ class FunctionalUnit:
             raise ValueError("functional unit needs at least one input")
         if not outputs:
             raise ValueError("functional unit needs at least one output")
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "motion", motion)
-        object.__setattr__(self, "outputs", tuple(outputs))
+        _set(self, "inputs", tuple(inputs))
+        _set(self, "motion", motion)
+        _set(self, "outputs", tuple(outputs))
         # only the hash is kept: storing the sorted identity as well costs
         # memory on every unit, and it is needed only on a hash match
-        object.__setattr__(self, "_hash", hash(self._identity()))
-
-    def __setattr__(self, *_):
-        raise AttributeError("FunctionalUnit is immutable")
-
-    def __delattr__(self, *_):
-        raise AttributeError("FunctionalUnit is immutable")
+        _set(self, "_hash", hash(self._identity()))
 
     def __reduce__(self):
         return (FunctionalUnit, (self.inputs, self.motion, self.outputs))
@@ -236,9 +232,9 @@ class FunctionalUnit:
         return f"<FunctionalUnit [{ins}] -{self.motion.name}-> [{outs}]>"
 
 
-class FoonGraph:
+class FoonGraph(Frozen):
     """Deduplicated, order-preserving collection of functional units with an
-    index from output key to producing unit positions.
+    index from output key to producing unit positions, each unit once.
 
     Unit positions in ``units`` are the stable identifiers used everywhere
     else (task tree steps, decision logs, DOT node ids).
@@ -247,14 +243,8 @@ class FoonGraph:
     __slots__ = ("units", "output_index")
 
     def __init__(self, units: Sequence[FunctionalUnit], output_index: dict):
-        object.__setattr__(self, "units", tuple(units))
-        object.__setattr__(self, "output_index", dict(output_index))
-
-    def __setattr__(self, *_):
-        raise AttributeError("FoonGraph is immutable")
-
-    def __delattr__(self, *_):
-        raise AttributeError("FoonGraph is immutable")
+        _set(self, "units", tuple(units))
+        _set(self, "output_index", dict(output_index))
 
     def __reduce__(self):
         return (FoonGraph, (self.units, self.output_index))
@@ -276,13 +266,10 @@ def index_outputs(units: Sequence[FunctionalUnit]) -> FoonGraph:
             raise DuplicateUnit(f"unit {pos} duplicates an earlier unit: {unit!r}")
         seen.add(unit)
         for key in unit.outputs:
-            index.setdefault(key, []).append(pos)
+            positions = index.setdefault(key, [])
+            if not positions or positions[-1] != pos:  # a unit may list a key twice
+                positions.append(pos)
     return FoonGraph(units, {k: tuple(v) for k, v in index.items()})
-
-
-def find_candidate_units(graph: FoonGraph, needed: ObjectKey) -> tuple[int, ...]:
-    """Units whose outputs contain ``needed``, in ascending position order."""
-    return graph.output_index.get(needed, ())
 
 
 class GoalSpec(FrozenRecord):

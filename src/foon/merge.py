@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import FoonGraph, FrozenRecord, FunctionalUnit, index_outputs
+from .core import FoonGraph, FrozenRecord, FunctionalUnit, _set, index_outputs
 
 
 class MergeResult(FrozenRecord):
@@ -13,9 +13,9 @@ class MergeResult(FrozenRecord):
     __slots__ = ("graph", "kept", "dropped")
 
     def __init__(self, graph: FoonGraph, kept: int, dropped: int):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "kept", kept)
-        object.__setattr__(self, "dropped", dropped)
+        _set(self, "graph", graph)
+        _set(self, "kept", kept)
+        _set(self, "dropped", dropped)
 
 
 def merge_subgraphs(subgraphs: Sequence[Sequence[FunctionalUnit]]) -> MergeResult:

@@ -10,7 +10,7 @@ recursion limit, and it gives up with :class:`TooLarge` once it has visited
 
 from __future__ import annotations
 
-from .core import FoonError, FoonGraph, GoalSpec, ObjectKey, find_candidate_units
+from .core import FoonError, FoonGraph, GoalSpec, ObjectKey
 from .retrieval import UnresolvableGoal
 
 
@@ -73,7 +73,7 @@ def enumerate_resolutions(
             continue
         key, path = pending[top - 1]
         path = path | {key}
-        for pos in find_candidate_units(graph, key):
+        for pos in graph.output_index.get(key, ()):
             inputs = graph.units[pos].inputs
             if not path.isdisjoint(inputs):
                 continue

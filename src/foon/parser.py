@@ -60,14 +60,14 @@ _FIELD_NAMES = {"O": "name", "S": "state", "I": "ingredient"}
 
 
 def _keys_of(objects: list[list], keys: dict[tuple, ObjectKey]) -> list[ObjectKey]:
-    # the key of each canonical [name, states, ingredients], built once per
-    # field set as read; later orders of those fields find it in ``keys``
+    # the key of each trimmed and lowercased [name, states, ingredients],
+    # built once per field set as read; that order finds it in ``keys`` later
     found = []
     for name, states, ingredients in objects:
         fields = (name, tuple(states), tuple(ingredients))
         key = keys.get(fields)
         if key is None:
-            key = keys[fields] = ObjectKey._intern((name, tuple(sorted(set(states))), tuple(sorted(ingredients))))
+            key = keys[fields] = ObjectKey._intern(name, states, ingredients)
         found.append(key)
     return found
 

@@ -96,7 +96,6 @@ from .core import (
     ObjectKey,
     SearchStats,
     TaskTree,
-    find_candidate_units,
 )
 
 DEFAULT_DEPTH_CAP = 100
@@ -275,7 +274,7 @@ def _chain_bounds(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mapping[Ob
         index[key] = low[key] = len(index)
         open_keys.append(key)
         edges[key] = [
-            ikey for pos in find_candidate_units(graph, key) for ikey in units[pos].inputs if ikey not in kitchen
+            ikey for pos in graph.output_index.get(key, ()) for ikey in units[pos].inputs if ikey not in kitchen
         ]
         work.append((key, iter(edges[key])))
 
@@ -465,7 +464,7 @@ def retrieve_gbfs(
     units = graph.units
     target = goal.target
     if target not in derivation_depths(graph, kitchen):
-        raise UnresolvableGoal(target, "dead-end" if find_candidate_units(graph, target) else "no-candidates")
+        raise UnresolvableGoal(target, "dead-end" if target in graph.output_index else "no-candidates")
 
     producers = graph.output_index.get
     best, counts = (min, _input_counts(graph)) if minimize else (max, None)

@@ -20,7 +20,6 @@ from foon.core import (
     ObjectKey,
     SearchStats,
     TaskTree,
-    find_candidate_units,
     index_outputs,
 )
 from foon.parser import ParseError
@@ -380,7 +379,7 @@ def recursive_retrieve_ids(
             if level >= bound:
                 hit_bound = True
                 return False
-            candidates = find_candidate_units(graph, key)
+            candidates = graph.output_index.get(key, ())
             path = path | {key}
             for pos in candidates:
                 stats.candidate_evaluations += 1
@@ -442,7 +441,7 @@ def recursive_retrieve_gbfs(
         path = path | {key}
         alive = [
             pos
-            for pos in find_candidate_units(graph, key)
+            for pos in graph.output_index.get(key, ())
             if not any(ikey in path for ikey in graph.units[pos].inputs)
         ]
         scores = {pos: score(graph.units[pos]) for pos in alive}
@@ -466,7 +465,7 @@ def recursive_retrieve_gbfs(
         return False
 
     if not resolve(target, frozenset()):
-        if not find_candidate_units(graph, target):
+        if not graph.output_index.get(target, ()):
             raise UnresolvableGoal(target, "no-candidates")
         raise UnresolvableGoal(target, "dead-end")
     steps = execution_order(graph, kitchen, resolution.chosen_units())

@@ -377,15 +377,21 @@ def test_compare_byte_identical_across_runs(runner, universal, corpus_paths):
     assert first.stdout_bytes == second.stdout_bytes
 
 
+def _fresh_env(**extra):
+    """The environment of a new ``python -m foon.cli`` process that imports
+    this package's source."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(foon.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_output_byte_identical_across_hash_seeds(universal, corpus_paths, tmp_path):
     # keys hash by address, and string hashes change with PYTHONHASHSEED, so
     # only separate processes can show output that follows hash order
     inputs = [universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
     outputs = []
-    src = str(Path(foon.__file__).parents[1])
     for seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": seed}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _fresh_env(PYTHONHASHSEED=seed)
         out_dir = tmp_path / f"trees-{seed}"
         runs = [
             ["compare", *inputs, "--motion-rates", corpus_paths["motion.txt"], "--with-oracle", "--format", "csv"],
@@ -401,6 +407,64 @@ def test_output_byte_identical_across_hash_seeds(universal, corpus_paths, tmp_pa
     assert [code for code, _ in streams] == [0, 0]
     assert {Path(name).suffix for name in written} == {".txt", ".dot"}
     assert outputs[0] == outputs[1]
+
+
+def test_readme_cli_block_runs_as_processes(corpus_paths, tmp_path):
+    universal = str(tmp_path / "universal.foon.txt")
+    inputs = [universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
+    rates = ["--motion-rates", corpus_paths["motion.txt"]]
+    for args in (
+        ["merge", corpus_paths["whipped_cream"], corpus_paths["greek_salad"], corpus_paths["ice"], "-o", universal],
+        ["retrieve", *inputs, "--algo", "gbfs1", *rates, "--out-dir", str(tmp_path / "out")],
+        ["compare", *inputs, *rates, "--with-oracle", "--format", "csv"],
+        ["viz", universal, "-o", str(tmp_path / "universal.dot")],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "foon.cli", *args], env=_fresh_env(), capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, (args[0], result.stderr)
+
+
+def _unwritable_stdout(sink: str) -> int:
+    """A descriptor whose every write fails: with ENOSPC for "full", with
+    EPIPE for "pipe" (a pipe whose reader has closed)."""
+    if sink == "full":
+        return os.open("/dev/full", os.O_WRONLY)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "sink",
+    [pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")), "pipe"],
+)
+def test_stdout_that_cannot_be_written_exits_2(universal, corpus_paths, tmp_path, sink, unbuffered):
+    # a buffered stdout keeps the bytes it could not write and tries them
+    # again at exit, so both buffering modes are run
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    inputs = [universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
+    for args in (
+        ["merge", corpus_paths["ice"], "-o", str(tmp_path / "ice.foon.txt")],
+        ["retrieve", *inputs, "--algo", "gbfs1", "--out-dir", str(tmp_path / "trees")],
+        ["compare", *inputs, "--motion-rates", corpus_paths["motion.txt"], "--with-oracle", "--format", "csv"],
+        ["viz", universal, "-o", str(tmp_path / "universal.dot")],
+    ):
+        stdout = _unwritable_stdout(sink)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "foon.cli", *args], env=env, stdout=stdout,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(stdout)
+        assert result.returncode == 2, (args[0], result.stderr)
+        [line] = result.stderr.splitlines()
+        assert line.startswith("Error: ") and "Traceback" not in result.stderr
 
 
 def test_depth_cap_env_var(runner, universal, corpus_paths, tmp_path):

@@ -15,13 +15,13 @@ from foon.core import (
     Algorithm,
     Decision,
     DuplicateUnit,
+    FrozenRecord,
     FunctionalUnit,
     GoalSpec,
     MotionNode,
     ObjectKey,
     SearchStats,
     TaskTree,
-    find_candidate_units,
     index_outputs,
 )
 from foon.data import subgraph_paths
@@ -98,6 +98,14 @@ def test_key_permutation_invariance(states, ingredients, seed):
     assert obj("thing", states, ingredients) == (
         obj("thing", shuffled_states, shuffled_ingredients)
     )
+    # mixed case and repeated states, read by the parser, find the same key
+    noisy_states = [s.upper() for s in shuffled_states] + [f" {s} " for s in states]
+    noisy_ingredients = [i.title() for i in shuffled_ingredients]
+    block = "O\tThing\n" + "".join(f"S\t{s}\n" for s in noisy_states)
+    block += "".join(f"I\t{i}\n" for i in noisy_ingredients)
+    [parsed] = parse_subgraph(block + "M\tmix\nO\tout\n//\n")
+    assert parsed.inputs[0] is ObjectKey("THING", noisy_states, noisy_ingredients)
+    assert parsed.inputs[0] is obj("thing", states, ingredients)
 
 
 def test_index_empty():
@@ -118,7 +126,7 @@ def test_index_two_producers_ascending():
             (["half and half"], "skim", ["cream"]),
         ]
     )
-    assert find_candidate_units(graph, key_of("cream")) == (0, 1)
+    assert graph.output_index.get(key_of("cream"), ()) == (0, 1)
 
 
 def test_index_rejects_duplicates():
@@ -129,7 +137,7 @@ def test_index_rejects_duplicates():
 
 def test_find_candidates_absent_key():
     graph = build_graph([(["milk"], "pour", ["cream"])])
-    assert find_candidate_units(graph, key_of("gold")) == ()
+    assert graph.output_index.get(key_of("gold"), ()) == ()
 
 
 def test_find_candidates_sparse_positions():
@@ -147,13 +155,13 @@ def test_find_candidates_sparse_positions():
         pos for pos, u in enumerate(graph.units) if key_of("k") in u.outputs
     )
     assert expect == (2, 5)
-    assert find_candidate_units(graph, key_of("k")) == (2, 5)
+    assert graph.output_index.get(key_of("k"), ()) == (2, 5)
 
 
 def test_index_sound_and_complete(corpus_graph):
     for pos, u in enumerate(corpus_graph.units):
         for out in u.outputs:
-            assert pos in find_candidate_units(corpus_graph, out)
+            assert pos in corpus_graph.output_index.get(out, ())
     for key, positions in corpus_graph.output_index.items():
         for pos in positions:
             assert key in corpus_graph.units[pos].outputs
@@ -166,7 +174,7 @@ def test_whipped_cream_produced_only_by_whip(corpus_graph):
         for pos, u in enumerate(corpus_graph.units)
         if goal in u.outputs
     ]
-    candidates = find_candidate_units(corpus_graph, goal)
+    candidates = corpus_graph.output_index.get(goal, ())
     assert tuple(brute) == candidates
     assert len(candidates) == 1
     assert corpus_graph.units[candidates[0]].motion.name == "whip"
@@ -239,17 +247,35 @@ def test_graph_round_trips_through_pickle_and_deepcopy(corpus_graph):
             assert originals[key] is key
 
 
+def _hash_or_none(value):
+    try:
+        return hash(value)
+    except TypeError:  # a TaskTree holds its mutable SearchStats
+        return None
+
+
 def test_units_and_graphs_refuse_deletion():
+    key = key_of("cream", ["whipped"])
     whip = unit(["cream"], "whip", ["whipped cream"])
     graph = index_outputs([whip])
-    for target in (whip, graph):
-        before = {field: getattr(target, field) for field in type(target).__slots__}
-        shown, hashed = repr(target), hash(target)
+    stats = SearchStats(Algorithm.IDS)
+    records = [whip.motion, GoalSpec(key), Decision(key, (0,), 0, (1.0,)), TaskTree((0,), stats),
+               MergeResult(graph, 1, 0)]
+    assert {type(record) for record in records} == set(FrozenRecord.__subclasses__())
+    for target in (key, whip, graph, *records):
+        before = {field: getattr(target, field) for field in type(target).__slots__ if field != "__weakref__"}
+        shown = (repr(target), _hash_or_none(target))
+        message = f"^{type(target).__name__} is immutable$"
         for field in before:
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=message):
+                setattr(target, field, None)
+            with pytest.raises(AttributeError, match=message):
                 delattr(target, field)
         assert {field: getattr(target, field) for field in before} == before
-        assert (repr(target), hash(target)) == (shown, hashed)
+        assert (repr(target), _hash_or_none(target)) == shown
+    for field in type(stats).__slots__:  # a retrieval fills its stats in place
+        setattr(stats, field, 7)
+        assert getattr(stats, field) == 7
 
 
 def test_record_types_keep_their_value_semantics():

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 import foon.retrieval
 from foon.cli import main as cli_main
-from foon.core import Algorithm, GoalSpec, SearchStats, find_candidate_units, index_outputs, validate_task_tree
+from foon.core import Algorithm, GoalSpec, SearchStats, index_outputs, validate_task_tree
 from foon.data import corpus_file
 from foon.oracle import TooLarge, enumerate_resolutions
 from foon.parser import write_subgraph
@@ -282,6 +282,17 @@ def test_gbfs_decision_log_audit(corpus_graph, corpus_kitchen, corpus_goals, cor
 # --- shared behaviour ---------------------------------------------------
 
 
+def test_unit_listing_an_output_twice_is_one_producer():
+    graph = build_graph([(["a"], "m", ["b", "b"]), (["c"], "m", ["b"])])
+    assert graph.output_index[key_of("b")] == (0, 1)
+    kitchen, goal = frozenset({key_of("c")}), GoalSpec(key_of("b"))
+    ids = retrieve_ids(graph, kitchen, goal)
+    assert (ids.steps, ids.stats.units_expanded) == ((1,), 2)
+    gbfs = retrieve_gbfs(graph, kitchen, goal, HeuristicId.SUCCESS_RATE)
+    assert (gbfs.steps, gbfs.stats.units_expanded) == ((1,), 2)
+    assert [d.candidates for d in gbfs.stats.decision_log] == [(0, 1), (1,)]
+
+
 def test_shared_intermediate_computed_once():
     graph = build_graph(
         [
@@ -463,7 +474,7 @@ def _cap_search(graph, kitchen, goal, cap, stop_at_cut):
     stats = SearchStats(Algorithm.IDS)
 
     def options(key, path):
-        for pos in find_candidate_units(graph, key):
+        for pos in graph.output_index.get(key, ()):
             stats.candidate_evaluations += 1
             if path.isdisjoint(graph.units[pos].inputs):
                 yield pos
