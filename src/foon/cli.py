@@ -3,20 +3,22 @@ algorithms, and render DOT figures.
 
 Exit codes: 0 on success, 1 when one or more goals could not be resolved,
 2 on a usage error or a failure to read, parse or write anything, stdout
-included. Option values beat environment variables (``FOON_DEPTH_CAP``,
-``FOON_MOTION_RATES``), which beat defaults.
+included, and also when stderr cannot take the error message. Commands
+return 0 or 1; :func:`main` alone turns errors into 2. Option values beat
+environment variables (``FOON_DEPTH_CAP``, ``FOON_MOTION_RATES``; an empty
+one counts as unset), which beat defaults. The parser is the standard
+library's ``argparse``, so the package has no runtime dependency.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import os
 import re
 import sys
 from pathlib import Path
-
-import click
 
 from .core import FoonError, GoalSpec, TaskTree
 from .export import to_dot, write_task_tree
@@ -43,20 +45,13 @@ CSV_COLUMNS = ["goal", "algorithm", "units", "expanded", "depth_bound", "resolve
 CSV_ORACLE_COLUMNS = CSV_COLUMNS + ["minimal_units", "minimal_depth"]
 
 
-def _fail(message: str):
-    # parse/I-O failures share exit code 2 with usage errors
-    exc = click.ClickException(message)
-    exc.exit_code = 2
-    raise exc
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        _fail(f"cannot read {path}: {exc.strerror}")
+        raise FoonError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        _fail(f"cannot read {path}: not UTF-8 (byte {exc.start})")
+        raise FoonError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from None
 
 
 def _load_graph(path: str):
@@ -86,59 +81,15 @@ def _goal_slug(goal: GoalSpec) -> str:
     return re.sub(r"[^a-z0-9]+", "_", goal.target.name).strip("_")
 
 
-depth_cap_option = click.option(
-    "--depth-cap",
-    type=click.IntRange(min=0),
-    default=DEFAULT_DEPTH_CAP,
-    envvar="FOON_DEPTH_CAP",
-    show_default=True,
-    help="Maximum IDS depth bound before giving up.",
-)
-rates_option = click.option(
-    "--motion-rates",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    envvar="FOON_MOTION_RATES",
-    help="motion.txt file with per-motion success rates (for gbfs1).",
-)
-
-
-class _Group(click.Group):
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (FoonError, OSError) as exc:  # from any command, stdout writes included
-            try:
-                sys.stdout.flush()
-            except OSError:  # drop the bytes stdout cannot take, or the exit flush fails too
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            _fail(str(exc))
-
-
-@click.group(cls=_Group)
-def main():
-    """Build FOON graphs from recipe subgraphs and extract task trees."""
-
-
-@main.command("merge")
-@click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "-o", required=True, type=click.Path(dir_okay=False), help="Universal FOON output path.")
-def cmd_merge(inputs, out):
+def cmd_merge(inputs, out) -> int:
     """Merge recipe subgraph files into one universal FOON."""
     result = merge_subgraphs([parse_subgraph(_read(path)) for path in inputs])
     Path(out).write_text(write_subgraph(result.graph.units), encoding="utf-8")
-    click.echo(f"kept {result.kept} units, dropped {result.dropped} duplicates -> {out}")
+    print(f"kept {result.kept} units, dropped {result.dropped} duplicates -> {out}")
+    return 0
 
 
-@main.command("retrieve")
-@click.argument("universal", type=click.Path(exists=True, dir_okay=False))
-@click.argument("kitchen_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("goals_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--algo", type=click.Choice(ALGOS), required=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
-@depth_cap_option
-@rates_option
-def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, motion_rates):
+def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, motion_rates) -> int:
     """Extract one task tree per goal and write .foon.txt + .dot files."""
     graph, kitchen, goals, rates = _load_inputs(universal, kitchen_file, goals_file, motion_rates)
     out = Path(out_dir)
@@ -150,7 +101,7 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
         try:
             tree = _run_algo(algo, graph, kitchen, goal, rates, depth_cap)
         except UnresolvableGoal as exc:
-            click.echo(f"{label}: unresolvable ({exc.reason})")
+            print(f"{label}: unresolvable ({exc.reason})")
             failures += 1
             continue
         stem = base = f"{_goal_slug(goal)}_{algo}"
@@ -161,9 +112,8 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
         stems.add(stem)
         (out / f"{stem}.foon.txt").write_text(write_task_tree(graph, tree), encoding="utf-8")
         (out / f"{stem}.dot").write_text(to_dot(graph, tree), encoding="utf-8")
-        click.echo(f"{label}: {len(tree.steps)} units -> {stem}.foon.txt")
-    if failures:
-        sys.exit(1)
+        print(f"{label}: {len(tree.steps)} units -> {stem}.foon.txt")
+    return 1 if failures else 0
 
 
 def _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle):
@@ -179,7 +129,7 @@ def _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle):
                 units, depth = oracle.minima(graph, kitchen, goal)  # one enumeration for both
                 oracle_cols = {"minimal_units": units, "minimal_depth": depth}
             except oracle.TooLarge as exc:
-                click.echo(f"{goal.target}: oracle skipped ({exc})", err=True)
+                print(f"{goal.target}: oracle skipped ({exc})", file=sys.stderr)
         for algo in ALGOS:
             row = {"goal": str(goal.target), "algorithm": algo}
             try:
@@ -204,15 +154,15 @@ ALGO_TITLES = {"ids": "IDS", "gbfs1": "GBFS with heuristic 1", "gbfs2": "GBFS wi
 
 
 def _render_table(rows) -> str:
+    by_goal = {}  # a goal listed twice gets one header over all its rows
+    for row in rows:
+        units = row["units"] if row["resolved"] == "true" else "unresolvable"
+        by_goal.setdefault(row["goal"], []).append(f"  {ALGO_TITLES[row['algorithm']]:<24} {units:>26}")
     lines = []
-    for goal in dict.fromkeys(row["goal"] for row in rows):
+    for goal, goal_lines in by_goal.items():
         lines.append(f"Goal: {goal}")
         lines.append(f"  {'Search Algorithm':<24} {'Number of Functional Units':>26}")
-        for row in rows:
-            if row["goal"] != goal:
-                continue
-            units = row["units"] if row["resolved"] == "true" else "unresolvable"
-            lines.append(f"  {ALGO_TITLES[row['algorithm']]:<24} {units:>26}")
+        lines.extend(goal_lines)
         lines.append("")
     return "\n".join(lines)
 
@@ -227,31 +177,123 @@ def render_csv(rows, with_oracle: bool) -> str:
     return buffer.getvalue()
 
 
-@main.command("compare")
-@click.argument("universal", type=click.Path(exists=True, dir_okay=False))
-@click.argument("kitchen_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("goals_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--with-oracle", is_flag=True, help="Add exhaustive-search minimal columns.")
-@click.option("--format", "fmt", type=click.Choice(["table", "csv"]), default="table", show_default=True)
-@depth_cap_option
-@rates_option
-def cmd_compare(universal, kitchen_file, goals_file, with_oracle, fmt, depth_cap, motion_rates):
+def cmd_compare(universal, kitchen_file, goals_file, with_oracle, fmt, depth_cap, motion_rates) -> int:
     """Run all three algorithms per goal and report unit counts."""
     graph, kitchen, goals, rates = _load_inputs(universal, kitchen_file, goals_file, motion_rates)
     rows, any_failure = _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle)
-    click.echo(render_csv(rows, with_oracle) if fmt == "csv" else _render_table(rows), nl=False)
-    if any_failure:
-        sys.exit(1)
+    sys.stdout.write(render_csv(rows, with_oracle) if fmt == "csv" else _render_table(rows))
+    return 1 if any_failure else 0
 
 
-@main.command("viz")
-@click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "-o", required=True, type=click.Path(dir_okay=False), help="DOT output path.")
-def cmd_viz(graph_file, out):
+def cmd_viz(graph_file, out) -> int:
     """Render a subgraph, universal FOON, or task tree file as DOT."""
     graph = _load_graph(graph_file)
     Path(out).write_text(to_dot(graph), encoding="utf-8")
-    click.echo(f"wrote {out}")
+    print(f"wrote {out}")
+    return 0
+
+
+def _input_file(path: str) -> str:
+    """``path`` when it names a file, for the parser to check inputs with."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"{path!r} does not exist")
+    return path
+
+
+def _depth_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return cap
+
+
+def _parser(prog_name: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog_name,
+        description="Build FOON graphs from recipe subgraphs and extract task trees.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(title="commands", required=True, metavar="COMMAND")
+
+    def command(run, name):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    def retrieval_inputs(sub):
+        for name in ("universal", "kitchen_file", "goals_file"):
+            sub.add_argument(name, type=_input_file)
+
+    def search_options(sub):
+        sub.add_argument(
+            "--depth-cap", type=_depth_cap, default=os.environ.get("FOON_DEPTH_CAP") or DEFAULT_DEPTH_CAP,
+            help="Maximum IDS depth bound before giving up (env FOON_DEPTH_CAP; default: %(default)s).",
+        )
+        sub.add_argument(
+            "--motion-rates", type=_input_file, default=os.environ.get("FOON_MOTION_RATES") or None,
+            help="motion.txt file with per-motion success rates, for gbfs1 (env FOON_MOTION_RATES).",
+        )
+
+    merge = command(cmd_merge, "merge")
+    merge.add_argument("inputs", nargs="+", type=_input_file)
+    merge.add_argument("--out", "-o", required=True, help="Universal FOON output path.")
+
+    retrieve = command(cmd_retrieve, "retrieve")
+    retrieval_inputs(retrieve)
+    retrieve.add_argument("--algo", choices=ALGOS, required=True)
+    retrieve.add_argument("--out-dir", default=".", help="Directory for the tree files (default: %(default)s).")
+    search_options(retrieve)
+
+    compare = command(cmd_compare, "compare")
+    retrieval_inputs(compare)
+    compare.add_argument("--with-oracle", action="store_true", help="Add exhaustive-search minimal columns.")
+    compare.add_argument(
+        "--format", dest="fmt", choices=("table", "csv"), default="table", help="Output format (default: %(default)s)."
+    )
+    search_options(compare)
+
+    viz = command(cmd_viz, "viz")
+    viz.add_argument("graph_file", type=_input_file)
+    viz.add_argument("--out", "-o", required=True, help="DOT output path.")
+    return parser
+
+
+def _flush_or_drop(stream) -> None:
+    """Flush ``stream``, or point its descriptor at the null device when it
+    cannot take the bytes, so the flush at exit does not fail again."""
+    try:
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def main(args=None, prog_name: str = "foon"):
+    """Run one command and exit with its code: 0, 1 when a goal is
+    unresolvable, 2 on any error, shown as one ``Error:`` line or not at all
+    when stderr cannot take it. Usage errors exit 2 from the parser."""
+    try:
+        options = vars(_parser(prog_name).parse_args(args))
+        code = options.pop("run")(**options)
+        sys.stdout.flush()
+    except (FoonError, OSError) as exc:  # from any command, stdout and stderr writes included
+        _flush_or_drop(sys.stdout)  # what stdout holds goes before the message
+        try:
+            sys.stderr.write(f"Error: {exc}\n")
+        except OSError:
+            pass
+        code = 2
+    finally:  # also after the parser's exit, whose messages may not have been written
+        _flush_or_drop(sys.stdout)
+        _flush_or_drop(sys.stderr)
+    sys.exit(code)
+
+
+main.main = main  # the name perfbench/child.py calls
 
 
 if __name__ == "__main__":

@@ -1,13 +1,17 @@
 """Shared test utilities: graph builders, random generators, the
 independent brute-force resolution checker used to cross-examine both the
-oracle and the search algorithms, and the earlier implementations of
+oracle and the search algorithms, the earlier implementations of
 ``execution_order``, of the subgraph parser and of the two searches, kept as
-references."""
+references, and an in-process runner for the ``foon`` CLI."""
 
 from __future__ import annotations
 
+import io
+import os
 import random
+import sys
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Mapping
 
 from foon.core import (
@@ -499,3 +503,58 @@ def check_dot_syntax(text: str):
     edge_re = re.compile(r"^  \w+ -> \w+;$")
     for line in lines[1:-1]:
         assert node_re.match(line) or edge_re.match(line), f"bad DOT line: {line!r}"
+
+
+class _Capture(io.StringIO):
+    """A text stream that also copies what it is given into ``both``."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+def _set_environ(values: Mapping[str, str | None]):
+    for name, value in values.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+
+
+class CliRunner:
+    """Runs a ``foon`` command in this process with its streams captured.
+    ``invoke`` gives what ``click.testing.CliRunner`` gives: ``exit_code``,
+    ``stdout``, ``stderr``, ``output`` (both streams, in the order written),
+    ``stdout_bytes`` and ``exception`` (``None`` after an exit 0)."""
+
+    def invoke(self, main, args, env: Mapping[str, str | None] | None = None):
+        both = io.StringIO()
+        stdout, stderr = _Capture(both), _Capture(both)
+        env = env or {}
+        saved_env = {name: os.environ.get(name) for name in env}
+        saved_streams = sys.stdout, sys.stderr
+        _set_environ(env)
+        sys.stdout, sys.stderr = stdout, stderr
+        exit_code, exception = 0, None
+        try:
+            main(args, prog_name="foon")
+        except SystemExit as exc:
+            exit_code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+            exception = exc if exit_code else None
+        except Exception as exc:  # a bug: report it as click does, not raise it
+            exit_code, exception = 1, exc
+        finally:
+            sys.stdout, sys.stderr = saved_streams
+            _set_environ(saved_env)
+        return SimpleNamespace(
+            exit_code=exit_code,
+            stdout=stdout.getvalue(),
+            stderr=stderr.getvalue(),
+            output=both.getvalue(),
+            stdout_bytes=stdout.getvalue().encode("utf-8"),
+            exception=exception,
+        )

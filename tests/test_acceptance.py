@@ -5,7 +5,6 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from foon.cli import main as cli_main
 from foon.core import validate_task_tree
@@ -19,7 +18,7 @@ from foon.retrieval import (
     retrieve_ids,
 )
 from conftest import fixture_graph
-from helpers import audit_decision_log, chain_graph, random_instance
+from helpers import CliRunner, audit_decision_log, chain_graph, random_instance
 from test_parser import functional_units
 
 N_RANDOM_GRAPHS = 200

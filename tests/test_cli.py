@@ -7,7 +7,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,7 @@ from foon.cli import main
 from foon.core import GoalSpec
 from foon.data import corpus_file, subgraph_paths
 from foon.parser import write_subgraph
-from helpers import build_graph, chain_graph, fan_graph, key_of
+from helpers import CliRunner, build_graph, chain_graph, fan_graph, key_of
 
 
 @pytest.fixture()
@@ -194,7 +193,7 @@ def test_retrieve_unresolvable_goal_exits_1(runner, universal, corpus_paths, tmp
     assert "unresolvable" in result.output
 
 
-def test_compare_table(runner, universal, corpus_paths):
+def test_compare_table(runner, universal, corpus_paths, tmp_path):
     result = runner.invoke(
         main,
         ["compare", universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"],
@@ -205,6 +204,26 @@ def test_compare_table(runner, universal, corpus_paths):
     assert "IDS" in result.output
     assert "GBFS with heuristic 1" in result.output
     assert "GBFS with heuristic 2" in result.output
+    # a goal listed twice gets one header over all six of its rows
+    goals = tmp_path / "goals.json"
+    whipped = {"object": "whipped cream", "states": ["whipped"]}
+    goals.write_text(json.dumps([whipped, {"object": "lasagna"}, whipped]))
+    result = runner.invoke(main, ["compare", universal, corpus_paths["kitchen.json"], str(goals)])
+    assert result.exit_code == 1, result.output
+    rows = {
+        "3": ["  IDS                                               3",
+              "  GBFS with heuristic 1                             3",
+              "  GBFS with heuristic 2                             3"],
+        "-": ["  IDS                                    unresolvable",
+              "  GBFS with heuristic 1                  unresolvable",
+              "  GBFS with heuristic 2                  unresolvable"],
+    }
+    header = "  Search Algorithm         Number of Functional Units"
+    assert result.stdout.splitlines() == [
+        "Goal: whipped cream{whipped}", header, *rows["3"], *rows["3"], "",
+        "Goal: lasagna", header, *rows["-"],
+    ]
+    assert result.stdout.endswith("unresolvable\n")
 
 
 def test_compare_csv_schema(runner, universal, corpus_paths):
@@ -435,18 +454,24 @@ def _unwritable_stdout(sink: str) -> int:
     return write_end
 
 
+def _buffered_env(unbuffered: bool):
+    """A fresh environment with Python's stdout and stderr buffered or not. A
+    buffered stream keeps the bytes it could not write and tries them again
+    at exit, so tests of unwritable streams run both modes."""
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "sink",
     [pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")), "pipe"],
 )
 def test_stdout_that_cannot_be_written_exits_2(universal, corpus_paths, tmp_path, sink, unbuffered):
-    # a buffered stdout keeps the bytes it could not write and tries them
-    # again at exit, so both buffering modes are run
-    env = _fresh_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = _buffered_env(unbuffered)
     inputs = [universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
     for args in (
         ["merge", corpus_paths["ice"], "-o", str(tmp_path / "ice.foon.txt")],
@@ -465,6 +490,96 @@ def test_stdout_that_cannot_be_written_exits_2(universal, corpus_paths, tmp_path
         assert result.returncode == 2, (args[0], result.stderr)
         [line] = result.stderr.splitlines()
         assert line.startswith("Error: ") and "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_errors_exit_2_when_stderr_cannot_be_written(universal, corpus_paths, tmp_path, unbuffered):
+    # exit 1 means "unresolvable", so an error that cannot be shown is still 2
+    env = _buffered_env(unbuffered)
+    missing = str(tmp_path / "missing.foon.txt")
+    latin1 = tmp_path / "latin1.foon.txt"
+    latin1.write_bytes(b"O\tcr\xe9me\nM\twhip\nO\tcream\n//\n")
+    kitchen, goals = corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]
+    retrieve = ["retrieve", "--algo", "gbfs1", "--out-dir", str(tmp_path / "trees")]
+    dot = ["-o", str(tmp_path / "out.dot")]
+    commands = {  # a run that succeeds, then a usage error and a read error
+        "merge": [["merge", corpus_paths["ice"], "-o", str(tmp_path / "u.foon.txt")],
+                  ["merge", missing, "-o", str(tmp_path / "u.foon.txt")],
+                  ["merge", str(latin1), "-o", str(tmp_path / "u.foon.txt")]],
+        "retrieve": [[*retrieve, universal, kitchen, goals],
+                     [*retrieve, missing, kitchen, goals],
+                     [*retrieve, str(latin1), kitchen, goals]],
+        "compare": [["compare", universal, kitchen, goals],
+                    ["compare", universal, missing, goals],
+                    ["compare", universal, str(latin1), goals]],
+        "viz": [["viz", universal, *dot], ["viz", missing, *dot], ["viz", str(latin1), *dot]],
+    }
+    for command, (valid, *errors) in commands.items():
+        with open("/dev/full", "w") as full:
+            runs = [(args, subprocess.PIPE) for args in errors] + [(valid, full)]
+            for args, stdout in runs:
+                result = subprocess.run(
+                    [sys.executable, "-m", "foon.cli", *args], env=env, stdout=stdout, stderr=full, timeout=120
+                )
+                assert result.returncode == 2, (command, args is valid)
+                assert not result.stdout
+
+
+def _foon(*args, **env):
+    """Exit code and stdout of ``foon args`` run as a process whose only
+    ``FOON_`` variables are ``env``."""
+    base = {name: value for name, value in _fresh_env().items() if not name.startswith("FOON_")}
+    result = subprocess.run(
+        [sys.executable, "-m", "foon.cli", *args], env={**base, **env}, capture_output=True, timeout=120
+    )
+    return result.returncode, result.stdout
+
+
+def test_options_beat_environment_which_beats_defaults(universal, corpus_paths, tmp_path):
+    inputs = [universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
+    ids = ["retrieve", *inputs, "--algo", "ids", "--out-dir", str(tmp_path / "o")]
+    resolved, capped = _foon(*ids), _foon(*ids, FOON_DEPTH_CAP="1")
+    assert resolved[0] == 0 and capped[0] == 1
+    assert _foon(*ids, "--depth-cap", "100", FOON_DEPTH_CAP="1") == resolved
+    assert _foon(*ids, "--depth-cap", "1") == capped
+    assert _foon(*ids, FOON_DEPTH_CAP="") == resolved  # empty counts as unset
+    compare = ["compare", *inputs, "--format", "csv"]
+    rates = corpus_paths["motion.txt"]
+    with_rates = _foon(*compare, "--motion-rates", rates)
+    assert with_rates[0] == 0
+    assert _foon(*compare, FOON_MOTION_RATES=rates) == with_rates
+    assert _foon(*compare, "--motion-rates", rates, FOON_MOTION_RATES=str(tmp_path / "missing.txt")) == with_rates
+    assert _foon(*compare, FOON_MOTION_RATES="") == _foon(*compare)
+
+
+def test_usage_errors_exit_2_as_processes_before_any_work(universal, corpus_paths, tmp_path):
+    kitchen, goals = corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]
+    missing = str(tmp_path / "missing.json")
+    out_dir, merged = tmp_path / "trees", tmp_path / "u.foon.txt"
+    before = sorted(tmp_path.iterdir())
+
+    def retrieve(*files, algo="ids"):
+        return ["retrieve", *(files or (universal, kitchen, goals)), "--algo", algo, "--out-dir", str(out_dir)]
+
+    for args, env in [
+        (retrieve(), {"FOON_DEPTH_CAP": "abc"}),
+        (retrieve(), {"FOON_DEPTH_CAP": "-1"}),
+        (retrieve(), {"FOON_MOTION_RATES": missing}),
+        ([*retrieve(), "--depth", "3"], {}),  # an abbreviation of --depth-cap
+        (retrieve(universal, missing, goals), {}),
+        (retrieve(universal, kitchen, str(tmp_path)), {}),  # a directory
+        (retrieve(algo="bogus"), {}),
+        (["compare", universal, kitchen, goals, "--format", "html"], {}),
+        (["compare", str(tmp_path), kitchen, goals], {}),
+        (["viz", missing, "-o", str(tmp_path / "out.dot")], {}),
+        (["merge", "-o", str(merged)], {}),  # no inputs
+        (["merge", universal, missing, "-o", str(merged)], {}),
+        (["search", universal], {}),
+        ([], {}),
+    ]:
+        assert _foon(*args, **env) == (2, b""), (args, env)
+        assert sorted(tmp_path.iterdir()) == before, (args, env)
 
 
 def test_depth_cap_env_var(runner, universal, corpus_paths, tmp_path):

@@ -5,7 +5,6 @@ import threading
 from collections import Counter
 
 import pytest
-from click.testing import CliRunner
 
 import foon.retrieval
 from foon.cli import main as cli_main
@@ -25,6 +24,7 @@ from foon.retrieval import (
     retrieve_ids,
 )
 from helpers import (
+    CliRunner,
     audit_decision_log,
     brute_force_resolutions,
     build_graph,
