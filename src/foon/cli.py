@@ -3,17 +3,20 @@ algorithms, and render DOT figures.
 
 Exit codes: 0 on success, 1 when one or more goals could not be resolved,
 2 on a usage error or a failure to read, parse or write anything, stdout
-included, and also when stderr cannot take the error message. Commands
-return 0 or 1; :func:`main` alone turns errors into 2. Option values beat
-environment variables (``FOON_DEPTH_CAP``, ``FOON_MOTION_RATES``; an empty
-one counts as unset), which beat defaults. The parser is the standard
-library's ``argparse``, so the package has no runtime dependency.
+included (``--help`` too), and also when stderr cannot take the error
+message. Commands return 0 or 1; :func:`main` alone turns errors into 2.
+Option values beat environment variables (``FOON_DEPTH_CAP``,
+``FOON_MOTION_RATES``; an empty one counts as unset), which beat defaults.
+The parser is the standard library's ``argparse``, so the package has no
+runtime dependency.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import gc
 import io
 import os
 import re
@@ -263,6 +266,19 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(prog_name: str, args) -> dict:
+    """The options of the command ``args`` names, ``run`` among them. The
+    parser's ``--help`` text is written here rather than by ``argparse``,
+    which drops a failed write and exits 0, so that it raises ``OSError``."""
+    help_text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(help_text):
+            return vars(_parser(prog_name).parse_args(args))
+    finally:  # also after the parser's exit
+        sys.stdout.write(help_text.getvalue())
+        sys.stdout.flush()
+
+
 def _flush_or_drop(stream) -> None:
     """Flush ``stream``, or point its descriptor at the null device when it
     cannot take the bytes, so the flush at exit does not fail again."""
@@ -275,9 +291,15 @@ def _flush_or_drop(stream) -> None:
 def main(args=None, prog_name: str = "foon"):
     """Run one command and exit with its code: 0, 1 when a goal is
     unresolvable, 2 on any error, shown as one ``Error:`` line or not at all
-    when stderr cannot take it. Usage errors exit 2 from the parser."""
+    when stderr cannot take it. Usage errors exit 2 from the parser.
+
+    The cyclic garbage collector is off while the command runs, since no
+    object it builds forms a reference cycle (see :mod:`foon.core`), and is
+    turned back on afterwards only if it was on when ``main`` was called."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        options = vars(_parser(prog_name).parse_args(args))
+        options = _parse_args(prog_name, args)
         code = options.pop("run")(**options)
         sys.stdout.flush()
     except (FoonError, OSError) as exc:  # from any command, stdout and stderr writes included
@@ -290,6 +312,8 @@ def main(args=None, prog_name: str = "foon"):
     finally:  # also after the parser's exit, whose messages may not have been written
         _flush_or_drop(sys.stdout)
         _flush_or_drop(sys.stderr)
+        if collecting:
+            gc.enable()
     sys.exit(code)
 
 

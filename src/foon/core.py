@@ -18,6 +18,14 @@ hash, print and pickle by their field values.
 
 A key's producers are ``graph.output_index.get(key, ())``: the positions of
 the units whose outputs hold it, ascending, each unit once.
+
+No key, unit, graph, record or stats object forms a reference cycle: each
+refers only to objects built before it (keys to strings, units to keys, a
+graph to its units and index, a tree to unit positions and its stats) and
+never back, and the intern table holds its keys weakly. Reference counting
+alone frees them, which is why :func:`foon.cli.main` can run a command with
+the cyclic garbage collector off. A field that points back up (a unit naming
+its graph, say) would break that.
 """
 
 from __future__ import annotations

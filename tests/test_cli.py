@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import os
 import shutil
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import foon
 from foon import oracle
-from foon.cli import main
+from foon.cli import _parser, main
 from foon.core import GoalSpec
 from foon.data import corpus_file, subgraph_paths
 from foon.parser import write_subgraph
@@ -524,6 +526,125 @@ def test_errors_exit_2_when_stderr_cannot_be_written(universal, corpus_paths, tm
                 )
                 assert result.returncode == 2, (command, args is valid)
                 assert not result.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "sink",
+    [pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")), "pipe"],
+)
+def test_help_that_cannot_be_written_exits_2(sink, unbuffered):
+    # argparse drops a failed write of its help and exits 0
+    env = _buffered_env(unbuffered)
+    for args in (["--help"], ["compare", "--help"], ["retrieve", "-h"]):
+        stdout = _unwritable_stdout(sink)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "foon.cli", *args], env=env, stdout=stdout,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(stdout)
+        assert result.returncode == 2, (args, result.stderr)
+        [line] = result.stderr.splitlines()
+        assert line.startswith("Error: ") and "Traceback" not in result.stderr
+
+
+def test_help_to_a_working_stdout_exits_0_with_the_parsers_text(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    expected = io.StringIO()
+    _parser("foon").print_help(expected)
+    for unbuffered in (False, True):
+        result = subprocess.run(
+            [sys.executable, "-m", "foon.cli", "--help"], env=_buffered_env(unbuffered), capture_output=True, timeout=120
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, expected.getvalue().encode(), b"")
+        result = subprocess.run(
+            [sys.executable, "-m", "foon.cli", "compare", "--help"], env=_buffered_env(unbuffered),
+            capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0 and result.stdout.startswith(b"usage: foon compare ") and not result.stderr
+
+
+def test_main_turns_the_collector_off_and_restores_it(runner, universal, corpus_paths, tmp_path, monkeypatch):
+    collecting = []  # the collector's state each time a command parses a graph
+    parse = foon.cli.parse_subgraph
+
+    def parse_subgraph(text):
+        collecting.append(gc.isenabled())
+        return parse(text)
+
+    monkeypatch.setattr(foon.cli, "parse_subgraph", parse_subgraph)
+    lasagna = tmp_path / "lasagna.json"
+    lasagna.write_text('[{"object":"lasagna"}]')
+    latin1 = tmp_path / "latin1.foon.txt"
+    latin1.write_bytes(b"O\tcr\xe9me\nM\twhip\nO\tcream\n//\n")
+    retrieve = ["retrieve", universal, corpus_paths["kitchen.json"], str(lasagna), "--out-dir", str(tmp_path / "o")]
+    runs = [  # exit code, graphs parsed, arguments
+        (0, 1, ["viz", universal, "-o", str(tmp_path / "u.dot")]),
+        (1, 1, [*retrieve, "--algo", "ids"]),
+        (2, 0, ["viz", str(latin1), "-o", str(tmp_path / "l.dot")]),  # a read error
+        (2, 0, [*retrieve, "--algo", "bogus"]),  # a usage error
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            for code, parsed, args in runs:
+                (gc.enable if enabled else gc.disable)()
+                collecting.clear()
+                result = runner.invoke(main, args)
+                assert result.exit_code == code, (args, result.output)
+                assert gc.isenabled() is enabled, (enabled, args)
+                assert collecting == [False] * parsed, (enabled, args)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+CYCLIC_GARBAGE = (
+    "import gc, json, sys\n"
+    "gc.disable()\n"
+    "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+    "from foon.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:], prog_name='foon')\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "found = gc.collect()\n"
+    "types = {type(o) for o in gc.garbage}\n"
+    "foon_types = sorted(t.__module__ + '.' + t.__qualname__ for t in types if t.__module__.split('.')[0] == 'foon')\n"
+    "print()\n"
+    "print(json.dumps([code, found, foon_types]))\n"
+)
+
+
+def _cyclic_garbage(*args):
+    """Exit code, the number of objects ``gc.collect()`` finds, and the
+    package's types among them, after ``foon args`` runs in a process whose
+    collector is off and keeps what it finds."""
+    result = subprocess.run(
+        [sys.executable, "-c", CYCLIC_GARBAGE, *args], env=_fresh_env(), capture_output=True, text=True, timeout=120
+    )
+    assert "Traceback" not in result.stderr, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(universal, corpus_paths, tmp_path):
+    # main turns the collector off, which is safe while no command leaves
+    # cyclic garbage that grows with its input
+    goals = [*json.loads(Path(corpus_paths["goal_nodes.json"]).read_text()), {"object": "lasagna"}]
+    corpus_goals = tmp_path / "corpus_goals.json"
+    corpus_goals.write_text(json.dumps(goals))
+    corpus = _cyclic_garbage("compare", universal, corpus_paths["kitchen.json"], str(corpus_goals), "--format", "csv")
+    graph, kitchen, goal = chain_graph(1000)
+    assert len(graph.units) >= 2000
+    chain_dir = tmp_path / "chain"
+    chain_dir.mkdir()
+    chain, chain_kitchen, chain_goals = _write_instance(chain_dir, graph, kitchen, goal)
+    Path(chain_goals).write_text(json.dumps([{"object": goal.target.name}, {"object": "lasagna"}]))
+    large = _cyclic_garbage("compare", chain, chain_kitchen, chain_goals, "--format", "csv")
+    assert corpus[0] == large[0] == 1  # lasagna is unresolvable in both
+    assert corpus[1] == large[1]
+    assert corpus[2] == large[2] == []
 
 
 def _foon(*args, **env):
