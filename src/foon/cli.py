@@ -27,6 +27,8 @@ from .core import FoonError, GoalSpec, TaskTree
 from .export import to_dot, write_task_tree
 from .merge import merge_subgraphs
 from .parser import (
+    ParseError,
+    SchemaError,
     parse_goal_nodes,
     parse_kitchen,
     parse_motion_rates,
@@ -57,16 +59,26 @@ def _read(path: str) -> str:
         raise FoonError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from None
 
 
+def _parse(parse, path: str, **options):
+    """``parse`` of the text of the file at ``path``, whose name a parse or
+    schema error then carries."""
+    text = _read(path)
+    try:
+        return parse(text, **options)
+    except (ParseError, SchemaError) as exc:
+        raise FoonError(f"cannot parse {path}: {exc}") from None
+
+
 def _load_graph(path: str):
-    return merge_subgraphs([parse_subgraph(_read(path))]).graph
+    return merge_subgraphs([_parse(parse_subgraph, path)]).graph
 
 
 def _load_inputs(universal: str, kitchen_file: str, goals_file: str, rates_file: str | None):
     """Graph, kitchen, goals and motion rates."""
     graph = _load_graph(universal)
-    kitchen = parse_kitchen(_read(kitchen_file))
-    goals = parse_goal_nodes(_read(goals_file))
-    rates = {} if rates_file is None else parse_motion_rates(_read(rates_file))
+    kitchen = _parse(parse_kitchen, kitchen_file)
+    goals = _parse(parse_goal_nodes, goals_file)
+    rates = {} if rates_file is None else _parse(parse_motion_rates, rates_file)
     # fill the cache every retrieval reads, so loading pays for it once
     # rather than the first retrieval
     derivation_depths(graph, kitchen)
@@ -86,7 +98,8 @@ def _goal_slug(goal: GoalSpec) -> str:
 
 def cmd_merge(inputs, out) -> int:
     """Merge recipe subgraph files into one universal FOON."""
-    result = merge_subgraphs([parse_subgraph(_read(path)) for path in inputs])
+    blocks = {}  # one memo for all the files, which repeat each other's objects
+    result = merge_subgraphs([_parse(parse_subgraph, path, blocks=blocks) for path in inputs])
     Path(out).write_text(write_subgraph(result.graph.units), encoding="utf-8")
     print(f"kept {result.kept} units, dropped {result.dropped} duplicates -> {out}")
     return 0
@@ -295,7 +308,9 @@ def main(args=None, prog_name: str = "foon"):
 
     The cyclic garbage collector is off while the command runs, since no
     object it builds forms a reference cycle (see :mod:`foon.core`), and is
-    turned back on afterwards only if it was on when ``main`` was called."""
+    turned back on afterwards only if it was on when ``main`` was called.
+    Before that, what the command left alive moves to the oldest generation
+    without a scan, unless the caller has frozen objects of its own."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -313,6 +328,9 @@ def main(args=None, prog_name: str = "foon"):
         _flush_or_drop(sys.stdout)
         _flush_or_drop(sys.stderr)
         if collecting:
+            if not gc.get_freeze_count():  # unfreezing would thaw the caller's objects too
+                gc.freeze()  # else the first pass would scan all the command's survivors
+                gc.unfreeze()
             gc.enable()
     sys.exit(code)
 

@@ -13,6 +13,22 @@ Four formats live here:
 * ``goal_nodes.json`` / ``kitchen.json``: a JSON array of objects with
   fields ``object`` (required), ``states`` and ``ingredients`` (optional);
   a kitchen is read into a ``frozenset`` of keys.
+
+A subgraph file is read one of two ways, chosen from the text itself. Text in
+the form :func:`write_subgraph` writes -- only ``O``, ``S``, ``I`` and ``M``
+lines and bare ``//`` lines, ended by ``\n`` alone, the last one a ``//``
+line -- goes to the block reader. It splits the text in C into units at
+their ``//`` lines, each unit at its ``M`` line and each section into object
+blocks at its ``O`` lines, and maps each block (an ``O`` line with the ``S``
+and ``I`` lines under it) to its key through a memo, so each distinct block
+is checked and canonicalised once. Merged files repeat most blocks byte for
+byte. Any other text goes to the line loop, which reads it line by line:
+comments, blank lines, padded tags, ``\r\n`` or any other break
+``str.splitlines()`` honours, no final newline, and every unit that is
+malformed in any way. So every :class:`ParseError` comes from the line loop
+with its line number and message, and both ways give the same units.
+Task-tree files start with a ``#`` header and so take the line loop; they
+are small.
 """
 
 from __future__ import annotations
@@ -58,6 +74,9 @@ _UNWRITABLE = re.compile("[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029]")
 # the one field an O, S or I line carries, as its error message names it
 _FIELD_NAMES = {"O": "name", "S": "state", "I": "ingredient"}
 
+# every line break str.splitlines() honours but "\n"
+_OTHER_BREAKS = "\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def _keys_of(objects: list[list], keys: dict[tuple, ObjectKey]) -> list[ObjectKey]:
     # the key of each trimmed and lowercased [name, states, ingredients],
@@ -72,8 +91,9 @@ def _keys_of(objects: list[list], keys: dict[tuple, ObjectKey]) -> list[ObjectKe
     return found
 
 
-def parse_subgraph(text: str) -> list[FunctionalUnit]:
-    """Parse a subgraph file into its functional units, in file order.
+def _parse_lines(text: str) -> list[FunctionalUnit]:
+    """The line loop: parse any subgraph text into its functional units, in
+    file order, or raise the :class:`ParseError` of its first bad line.
 
     Each distinct raw field is canonicalised once per call, and each distinct
     object's key is built once per call from its canonical fields in the
@@ -131,6 +151,87 @@ def parse_subgraph(text: str) -> list[FunctionalUnit]:
     if objects or motion is not None:
         raise ParseError(line_no + 1, "unexpected end of file: unit missing '//' terminator")
     return units
+
+
+class _Irregular(Exception):
+    """Raised by the block reader on text it leaves to the line loop."""
+
+
+def _block_key(block: str, blocks: dict, canon: dict[str, str]) -> ObjectKey:
+    # the key of an object block (an O line's field, then the S and I lines
+    # under it), entered in ``blocks`` under the block and under its canonical
+    # fields in the order read; ``canon`` maps each raw S or I line to its
+    # field, trimmed and lowercased
+    name, newline, rest = block.partition("\n")
+    lines = rest.split("\n") if newline else ()
+    # each line starts with its tag and a tab (checked below); any other tab is in a field
+    if block.count("\t") != len(lines):
+        raise _Irregular
+    states, ingredients = [], []
+    for line in lines:
+        field = canon.get(line)
+        if field is None:
+            tag, field = line[:2], line[2:].strip().lower()
+            if not field or (tag != "S\t" and tag != "I\t"):
+                raise _Irregular
+            canon[line] = field
+        if line[0] == "S":
+            states.append(field)
+        else:
+            ingredients.append(field)
+    name = name.strip().lower()
+    if not name:
+        raise _Irregular
+    fields = (name, tuple(states), tuple(ingredients))
+    key = blocks.get(fields)
+    if key is None:
+        key = blocks[fields] = ObjectKey._intern(*fields)
+    blocks[block] = key
+    return key
+
+
+def _parse_blocks(text: str, blocks: dict) -> list[FunctionalUnit]:
+    # the block reader: the text split into units at its // lines, each unit
+    # at its M line and each section at its O lines, all in C; a block is
+    # read line by line only the first time ``blocks`` meets it
+    if not text.endswith("\n//\n") or any(brk in text for brk in _OTHER_BREAKS):
+        raise _Irregular
+    units = []
+    get = blocks.get
+    canon: dict[str, str] = {}
+    for unit in text[:-4].split("\n//\n"):
+        inputs, _, rest = unit.partition("\nM\t")
+        motion, _, outputs = rest.partition("\n")
+        fields = motion.split("\t")
+        if inputs[:2] != "O\t" or outputs[:2] != "O\t" or len(fields) > 3 or not fields[0].strip():
+            raise _Irregular
+        units.append(
+            FunctionalUnit(
+                [get(block) or _block_key(block, blocks, canon) for block in inputs[2:].split("\nO\t")],
+                MotionNode(*fields),
+                [get(block) or _block_key(block, blocks, canon) for block in outputs[2:].split("\nO\t")],
+            )
+        )
+    return units
+
+
+def parse_subgraph(text: str, *, blocks: dict | None = None) -> list[FunctionalUnit]:
+    """Parse a subgraph file into its functional units, in file order.
+
+    Text in the form :func:`write_subgraph` writes is read one object block
+    at a time, and any other text line by line (see the module docstring);
+    both give the same units, or the same :class:`ParseError`.
+
+    ``blocks`` is the block reader's memo from text read to its key. Calls
+    that read related files may share one, starting from an empty dict, so
+    that a block repeated across the files is checked and canonicalised
+    once; ``foon merge`` shares one across its inputs. Without it each call
+    keeps its own. Either way the result is the same.
+    """
+    try:
+        return _parse_blocks(text, {} if blocks is None else blocks)
+    except _Irregular:
+        return _parse_lines(text)
 
 
 def _refuse_breaks(pos: int, fields: Sequence[str]) -> None:

@@ -79,6 +79,36 @@ def test_merge_parse_error_exits_2_with_line(runner, tmp_path):
     assert "line 2" in result.output
 
 
+def test_merge_parse_error_names_the_file(runner, corpus_paths, tmp_path):
+    bad = tmp_path / "bad.foon.txt"
+    bad.write_text("O\tcream\nM\twhip\n//\n")
+    result = runner.invoke(main, ["merge", corpus_paths["whipped_cream"], str(bad), "-o", str(tmp_path / "u")])
+    assert result.exit_code == 2
+    assert result.output == f"Error: cannot parse {bad}: line 3: unit has no output objects\n"
+    assert not (tmp_path / "u").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("kitchen.json", '[{"states": ["raw"]}]', "field 'object': missing in entry 0"),
+        ("goal_nodes.json", "[", "line 1: invalid JSON: Expecting value"),
+        ("motion.txt", "whip\thigh\n", "line 1: non-numeric rate 'high'"),
+    ],
+)
+def test_compare_input_errors_name_the_file(runner, universal, corpus_paths, tmp_path, name, text, message):
+    files = {key: corpus_paths[key] for key in ("kitchen.json", "goal_nodes.json", "motion.txt")}
+    bad = tmp_path / f"bad_{name}"
+    bad.write_text(text)
+    files[name] = str(bad)
+    result = runner.invoke(
+        main,
+        ["compare", universal, files["kitchen.json"], files["goal_nodes.json"], "--motion-rates", files["motion.txt"]],
+    )
+    assert result.exit_code == 2
+    assert result.output == f"Error: cannot parse {bad}: {message}\n"
+
+
 def test_retrieve_writes_tree_and_dot(runner, universal, corpus_paths, tmp_path):
     out_dir = tmp_path / "trees"
     result = runner.invoke(
@@ -598,6 +628,55 @@ def test_main_turns_the_collector_off_and_restores_it(runner, universal, corpus_
                 assert collecting == [False] * parsed, (enabled, args)
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def _collector_passes(runner, args):
+    """Exit code of ``foon args`` run in this process with the collector on,
+    and the generation of each collector pass that started inside ``main``."""
+    passes, running = [], []
+
+    def watched(*main_args, **options):
+        running.append(True)
+        try:
+            main(*main_args, **options)
+        finally:
+            running.clear()
+
+    def record(phase, info):
+        if phase == "start" and running:
+            passes.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        gc.enable()
+        return runner.invoke(watched, args).exit_code, passes
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_main_leaves_the_collector_no_survivors_to_scan(runner, tmp_path):
+    # with the collector on when main is called, no pass starts inside main:
+    # what the command leaves alive, the retrieval's cached graph among it, is
+    # moved to the oldest generation before the collector is turned back on
+    graph, kitchen, goal = chain_graph(1000)
+    assert len(graph.units) >= 2000
+    universal, kitchen_file, goals_file = _write_instance(tmp_path, graph, kitchen, goal)
+    args = ["retrieve", universal, kitchen_file, goals_file, "--algo", "gbfs2", "--out-dir", str(tmp_path / "o")]
+    assert _collector_passes(runner, args) == (0, [])
+
+
+def test_main_keeps_the_callers_frozen_objects_frozen(runner, universal, corpus_paths, tmp_path):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        args = ["viz", universal, "-o", str(tmp_path / "u.dot")]
+        assert _collector_passes(runner, args)[0] == 0
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 CYCLIC_GARBAGE = (

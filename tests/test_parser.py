@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foon.parser
 from foon.core import FunctionalUnit, MotionNode, ObjectKey
 from foon.data import corpus_file, subgraph_paths
 from foon.parser import (
@@ -97,7 +98,11 @@ CORPUS_SPLICES = ("O\t", "S\t \n", "I\t \n", "M\ta\tb\tc\td", "//", "#", "", "\t
 SOUP_TOKENS = ("O\ta", "S\ta", "I\ta", "M\ta", "O", "S", "I", "M", "//", "#", "a", " ", "\t")
 
 
-def _spliced(rng, text):
+# lines spliced into written texts: each is a line the writer could write
+WRITER_SPLICES = ("O\tcream", "S\traw", "I\tfeta", "M\twhip", "M\twhip\t1:05\t1:20", "//")
+
+
+def _spliced(rng, text, splices=CORPUS_SPLICES):
     """The text with one to three lines deleted, inserted or replaced."""
     lines = text.splitlines(keepends=True)
     for _ in range(rng.randint(1, 3)):
@@ -106,8 +111,56 @@ def _spliced(rng, text):
         if edit != "insert":
             del lines[pos : pos + 1]
         if edit != "delete":
-            lines.insert(pos, rng.choice(CORPUS_SPLICES) + "\n")
+            lines.insert(pos, rng.choice(splices) + "\n")
     return "".join(lines)
+
+
+# characters of the fields of random units: letters in both cases, spaces, a
+# non-ASCII letter whose lowercase depends on its context, the line tags,
+# and a control character that is no line break
+FIELD_CHARS = "abcZ é Σ#/OSIM\x1f"
+TIMESTAMPS = (None, "", "0:05", " 1:12")
+
+
+def _random_field(rng):
+    field = ""
+    while not field.strip():
+        field = "".join(rng.choices(FIELD_CHARS, k=rng.randint(1, 5)))
+    return field
+
+
+def _random_units(rng, max_units=6):
+    """Random units over a few random objects, which they share."""
+    objects = [
+        ObjectKey(
+            _random_field(rng),
+            [_random_field(rng) for _ in range(rng.randint(0, 2))],
+            [_random_field(rng) for _ in range(rng.randint(0, 2))],
+        )
+        for _ in range(rng.randint(1, 6))
+    ]
+    return [
+        FunctionalUnit(
+            rng.choices(objects, k=rng.randint(1, 3)),
+            MotionNode(_random_field(rng), rng.choice(TIMESTAMPS), rng.choice(TIMESTAMPS)),
+            rng.choices(objects, k=rng.randint(1, 3)),
+        )
+        for _ in range(rng.randint(1, max_units))
+    ]
+
+
+@pytest.fixture()
+def line_loop_calls(monkeypatch):
+    """Each text ``parse_subgraph`` hands to the line loop, in call order."""
+    calls = []
+    parse_lines = foon.parser._parse_lines
+
+    def counted(text):
+        calls.append(text)
+        return parse_lines(text)
+
+    monkeypatch.setattr(foon.parser, "_parse_lines", counted)
+    return calls
 
 
 def _token_soup(rng):
@@ -124,18 +177,104 @@ def _outcome(parse, text):
         return exc.line_no, str(exc)
 
 
-def test_parse_subgraph_matches_reference_on_corrupted_input():
+def test_parse_subgraph_matches_reference_on_corrupted_input(line_loop_calls):
     rng = random.Random(8)
     corpora = [path.read_text() for path in subgraph_paths()]
     hits = Counter()
-    for draw in range(10_000):
-        text = _spliced(rng, rng.choice(corpora)) if draw % 2 else _token_soup(rng)
+    paths = Counter()
+    for draw in range(12_000):
+        if draw % 3 == 0:
+            text = _token_soup(rng)
+        elif draw % 3 == 1:
+            text = _spliced(rng, rng.choice(corpora))
+        else:  # written text, spliced with lines the writer writes or never writes
+            text = _spliced(rng, write_subgraph(_random_units(rng)), rng.choice((CORPUS_SPLICES, WRITER_SPLICES)))
         expected = _outcome(reference_parse_subgraph, text)
+        calls = len(line_loop_calls)
         assert _outcome(parse_subgraph, text) == expected, text
+        paths["line loop" if len(line_loop_calls) > calls else "blocks"] += 1
         if isinstance(expected, tuple):
             message = expected[1].split(": ", 1)[1]
             hits[next(m for m in REACHABLE_MESSAGES if message.startswith(m))] += 1
     assert {m: hits[m] for m in REACHABLE_MESSAGES if hits[m] < 20} == {}
+    assert min(paths["blocks"], paths["line loop"]) >= 300, paths
+
+
+def _refuse_line_loop(text):
+    raise AssertionError(f"written text went to the line loop: {text!r}")
+
+
+def test_written_text_is_read_in_blocks(monkeypatch):
+    monkeypatch.setattr(foon.parser, "_parse_lines", _refuse_line_loop)
+    rng = random.Random(10)
+    for _ in range(500):
+        units = _random_units(rng)
+        text = write_subgraph(units)
+        assert _outcome(parse_subgraph, text) == _outcome(reference_parse_subgraph, text), text
+        assert parse_subgraph(text) == units
+
+
+@pytest.mark.parametrize("path", subgraph_paths(), ids=lambda p: p.stem)
+def test_corpus_files_are_read_in_blocks(path, monkeypatch):
+    text = path.read_text()
+    expected = _outcome(reference_parse_subgraph, text)
+    monkeypatch.setattr(foon.parser, "_parse_lines", _refuse_line_loop)
+    assert _outcome(parse_subgraph, text) == expected
+
+
+TWO_UNITS = ONE_UNIT + "O\tcream\nS\twhipped\nI\tsugar\nM\tmix\nO\ttopping\n//\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(TWO_UNITS.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(TWO_UNITS.replace("sugar", "su\x1cgar"), id="file-separator-in-field"),
+        pytest.param(TWO_UNITS.replace("sugar", "su\u2028gar"), id="line-separator-in-field"),
+        pytest.param(TWO_UNITS[:-1], id="no-final-newline"),
+        pytest.param(TWO_UNITS.replace("//\nO", "//\n# next\nO"), id="comment-mid-file"),
+        pytest.param(TWO_UNITS.replace("//\nO", "//\n\nO"), id="blank-line-mid-file"),
+        pytest.param(TWO_UNITS.replace("M\tmix", "\nM\tmix"), id="blank-line-before-motion"),
+        pytest.param(TWO_UNITS.replace("topping\n", "topping\n\n"), id="blank-line-before-terminator"),
+        pytest.param(TWO_UNITS.replace("//\nO", " // \nO"), id="padded-terminator"),
+        pytest.param(TWO_UNITS.replace("//\nO", "//\t\nO"), id="terminator-with-tab"),
+        pytest.param(TWO_UNITS.replace("topping", "top\tping"), id="tab-in-name"),
+        pytest.param(TWO_UNITS.replace("sugar", "su\tgar"), id="tab-in-ingredient"),
+        pytest.param(TWO_UNITS.replace("M\tmix", "M\tmix\t1\t2\t3"), id="three-timestamps"),
+        pytest.param(TWO_UNITS.replace("M\tmix", "M\t \t1"), id="blank-motion"),
+        pytest.param(TWO_UNITS.replace("S\twhipped\nI", "S\t \nI"), id="blank-state"),
+        pytest.param(TWO_UNITS.replace("M\tmix\n", "M\tmix\nS\traw\n"), id="state-right-after-motion"),
+        pytest.param(TWO_UNITS.replace("M\tmix\n", "M\tmix\nM\tpour\n"), id="two-motion-lines"),
+        pytest.param(TWO_UNITS.replace("O\ttopping\n", "O\ttopping\nM\tpour\nO\tx\n"), id="second-motion-later"),
+        pytest.param(TWO_UNITS.replace("O\ttopping\n", ""), id="no-outputs"),
+        pytest.param(TWO_UNITS.replace("M\tmix\n", ""), id="no-motion"),
+        pytest.param("M\tmix\n" + TWO_UNITS, id="motion-first"),
+        pytest.param(TWO_UNITS.replace("I\tsugar", " I\tsugar"), id="padded-tag"),
+        pytest.param(TWO_UNITS.replace("I\tsugar", "X\tsugar"), id="unknown-tag"),
+        pytest.param(TWO_UNITS + "//\n", id="stray-terminator"),
+        pytest.param("# task tree: 2 units\n" + TWO_UNITS, id="task-tree-header"),
+    ],
+)
+def test_irregular_text_takes_the_line_loop(text, line_loop_calls):
+    expected = _outcome(reference_parse_subgraph, text)
+    assert _outcome(parse_subgraph, text) == expected
+    assert line_loop_calls == [text]
+
+
+def test_a_shared_memo_gives_what_separate_parses_give():
+    rng = random.Random(11)
+    units = _random_units(rng, max_units=12)
+    texts = [path.read_text() for path in subgraph_paths()]
+    texts += [write_subgraph(rng.sample(units, rng.randint(1, len(units)))) for _ in range(6)]
+    texts.insert(2, "# a comment\n" + texts[-1])  # read by the line loop
+    blocks = {}
+    shared = [parse_subgraph(text, blocks=blocks) for text in texts]
+    separate = [parse_subgraph(text) for text in texts]
+    assert blocks
+    for one, other in zip(shared, separate):
+        assert [(u.inputs, u.motion, u.outputs) for u in one] == [(u.inputs, u.motion, u.outputs) for u in other]
+        for unit, twin in zip(one, other):
+            assert all(a is b for a, b in zip(unit.inputs + unit.outputs, twin.inputs + twin.outputs))
 
 
 RECURRING_NAMES = ("cream", "bowl", "salad")
