@@ -298,7 +298,11 @@ def _flush_or_drop(stream) -> None:
     try:
         stream.flush()
     except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, stream.fileno())
+        finally:
+            os.close(devnull)
 
 
 def main(args=None, prog_name: str = "foon"):

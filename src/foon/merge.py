@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .core import FoonGraph, FrozenRecord, FunctionalUnit, _set, index_outputs
 
@@ -18,21 +19,13 @@ class MergeResult(FrozenRecord):
         _set(self, "dropped", dropped)
 
 
-def merge_subgraphs(subgraphs: Sequence[Sequence[FunctionalUnit]]) -> MergeResult:
+def merge_subgraphs(subgraphs: Iterable[Sequence[FunctionalUnit]]) -> MergeResult:
     """Union subgraphs into one graph, first occurrence wins.
 
     Units are concatenated in the given order; any unit equal to an
     earlier-kept one is dropped. Duplicates across recipes are expected,
     not errors.
     """
-    kept: list[FunctionalUnit] = []
-    seen: set[FunctionalUnit] = set()
-    dropped = 0
-    for subgraph in subgraphs:
-        for unit in subgraph:
-            if unit in seen:
-                dropped += 1
-            else:
-                seen.add(unit)
-                kept.append(unit)
-    return MergeResult(index_outputs(kept), len(kept), dropped)
+    units = list(chain.from_iterable(subgraphs))
+    kept = list(dict.fromkeys(units))  # a dict keeps the first of equal keys
+    return MergeResult(index_outputs(kept), len(kept), len(units) - len(kept))

@@ -14,21 +14,22 @@ Four formats live here:
   fields ``object`` (required), ``states`` and ``ingredients`` (optional);
   a kitchen is read into a ``frozenset`` of keys.
 
-A subgraph file is read one of two ways, chosen from the text itself. Text in
-the form :func:`write_subgraph` writes -- only ``O``, ``S``, ``I`` and ``M``
+A subgraph file is read by one builder, the block reader, which takes text
+in the form :func:`write_subgraph` writes: only ``O``, ``S``, ``I`` and ``M``
 lines and bare ``//`` lines, ended by ``\n`` alone, the last one a ``//``
-line -- goes to the block reader. It splits the text in C into units at
-their ``//`` lines, each unit at its ``M`` line and each section into object
-blocks at its ``O`` lines, and maps each block (an ``O`` line with the ``S``
-and ``I`` lines under it) to its key through a memo, so each distinct block
-is checked and canonicalised once. Merged files repeat most blocks byte for
-byte. Any other text goes to the line loop, which reads it line by line:
+line. It splits the text in C into units at their ``//`` lines, each unit at
+its ``M`` line and each section into object blocks at its ``O`` lines, and
+maps each block (an ``O`` line with the ``S`` and ``I`` lines under it) to
+its key through a memo, so each distinct block is checked and canonicalised
+once. Merged files repeat most blocks byte for byte. Any other text --
 comments, blank lines, padded tags, ``\r\n`` or any other break
-``str.splitlines()`` honours, no final newline, and every unit that is
-malformed in any way. So every :class:`ParseError` comes from the line loop
-with its line number and message, and both ways give the same units.
-Task-tree files start with a ``#`` header and so take the line loop; they
-are small.
+``str.splitlines()`` honours, no final newline, or a malformed unit -- first
+passes the line check. It reads the text line by line, raises every
+:class:`ParseError` with its line number and message, and otherwise gives
+the block reader the text in the writer's form: comments and blank lines
+dropped, ``//`` unpadded, every other line kept as read. Text in the
+writer's form skips the check. Task-tree files start with a ``#`` header
+and so take it.
 """
 
 from __future__ import annotations
@@ -67,94 +68,70 @@ class ParseWarning(UserWarning):
     """Non-fatal oddity in an input file (duplicate entries etc.)."""
 
 
-# a tab, or any character str.splitlines() breaks a line at: a field holding
-# one would not parse back as one field
-_UNWRITABLE = re.compile("[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029]")
+# every line break str.splitlines() honours but "\n"
+_OTHER_BREAKS = "\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+
+# a tab or any line break: a field holding one would not parse back as one field
+_UNWRITABLE = re.compile(f"[\t\n{_OTHER_BREAKS}]")
 
 # the one field an O, S or I line carries, as its error message names it
 _FIELD_NAMES = {"O": "name", "S": "state", "I": "ingredient"}
 
-# every line break str.splitlines() honours but "\n"
-_OTHER_BREAKS = "\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 
+def _check_lines(text: str) -> str:
+    """The line check: raise the :class:`ParseError` of the first bad line of
+    any subgraph text, or return the text in the form :func:`write_subgraph`
+    writes, for the block reader to build its units.
 
-def _keys_of(objects: list[list], keys: dict[tuple, ObjectKey]) -> list[ObjectKey]:
-    # the key of each trimmed and lowercased [name, states, ingredients],
-    # built once per field set as read; that order finds it in ``keys`` later
-    found = []
-    for name, states, ingredients in objects:
-        fields = (name, tuple(states), tuple(ingredients))
-        key = keys.get(fields)
-        if key is None:
-            key = keys[fields] = ObjectKey._intern(name, states, ingredients)
-        found.append(key)
-    return found
-
-
-def _parse_lines(text: str) -> list[FunctionalUnit]:
-    """The line loop: parse any subgraph text into its functional units, in
-    file order, or raise the :class:`ParseError` of its first bad line.
-
-    Each distinct raw field is canonicalised once per call, and each distinct
-    object's key is built once per call from its canonical fields in the
-    order read. Both memos are locals, so no cache outlives the call.
+    Comments and blank lines are dropped, ``//`` is written unpadded, each
+    ``O``, ``S``, ``I`` and ``M`` line is kept as read, and every line ends in
+    a newline; text with no unit gives ``""``.
     """
-    units: list[FunctionalUnit] = []
-    # [name, states, ingredients] per object of the section being read: the
-    # unit's inputs before its M line, its outputs after it
-    objects: list[list] = []
-    inputs: list[ObjectKey] = []
-    motion: MotionNode | None = None
-    canon: dict[str, str] = {}  # raw O, S or I field -> trimmed and lowercased
-    keys: dict[tuple, ObjectKey] = {}  # canonical fields in the order read -> key
+    lines: list[str] = []
+    # whether the section being read has an object (the unit's inputs before
+    # its M line, its outputs after it), and whether the unit has its M line
+    objects = motion = False
     line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tag, _, value = raw.partition("\t")
         if tag in _FIELD_NAMES:
             if tag != "O" and not objects:
                 raise ParseError(line_no, f"{tag} line without a preceding O line")
-            field = canon.get(value)
-            if field is None:
-                if "\t" in value or not value.strip():
-                    raise ParseError(line_no, f"{tag} line needs exactly one {_FIELD_NAMES[tag]} field")
-                field = canon[value] = value.strip().lower()
-            if tag == "O":
-                objects.append([field, [], []])
-            else:
-                objects[-1][1 if tag == "S" else 2].append(field)
+            if "\t" in value or not value.strip():
+                raise ParseError(line_no, f"{tag} line needs exactly one {_FIELD_NAMES[tag]} field")
+            objects = True
+            lines.append(raw)
             continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line == "//":
-            if motion is None:
+            if not motion:
                 raise ParseError(line_no, "unit terminated without a motion line")
             if not objects:
                 raise ParseError(line_no, "unit has no output objects")
-            units.append(FunctionalUnit(inputs, motion, _keys_of(objects, keys)))
-            objects, motion = [], None
+            objects = motion = False
+            lines.append("//")
             continue
         if tag != "M":
             raise ParseError(line_no, f"unknown line tag {tag!r}")
-        if motion is not None:
+        if motion:
             raise ParseError(line_no, "second M line in one unit")
         if not objects:
             raise ParseError(line_no, "M line before any object in the unit")
         fields = raw.split("\t")
         if len(fields) < 2 or len(fields) > 4 or not fields[1].strip():
             raise ParseError(line_no, "M line needs a motion name and at most two timestamps")
-        inputs, objects = _keys_of(objects, keys), []
-        start = fields[2] if len(fields) > 2 else None
-        end = fields[3] if len(fields) > 3 else None
-        motion = MotionNode(fields[1], start, end)
+        objects, motion = False, True
+        lines.append(raw)
 
-    if objects or motion is not None:
+    if objects or motion:
         raise ParseError(line_no + 1, "unexpected end of file: unit missing '//' terminator")
-    return units
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 class _Irregular(Exception):
-    """Raised by the block reader on text it leaves to the line loop."""
+    """Raised by the block reader on text it leaves to the line check."""
 
 
 def _block_key(block: str, blocks: dict, canon: dict[str, str]) -> ObjectKey:
@@ -218,9 +195,9 @@ def _parse_blocks(text: str, blocks: dict) -> list[FunctionalUnit]:
 def parse_subgraph(text: str, *, blocks: dict | None = None) -> list[FunctionalUnit]:
     """Parse a subgraph file into its functional units, in file order.
 
-    Text in the form :func:`write_subgraph` writes is read one object block
-    at a time, and any other text line by line (see the module docstring);
-    both give the same units, or the same :class:`ParseError`.
+    Text in the form :func:`write_subgraph` writes goes straight to the block
+    reader; any other text first passes the line check, which raises its
+    :class:`ParseError` or rewrites it in that form (see the module docstring).
 
     ``blocks`` is the block reader's memo from text read to its key. Calls
     that read related files may share one, starting from an empty dict, so
@@ -228,10 +205,12 @@ def parse_subgraph(text: str, *, blocks: dict | None = None) -> list[FunctionalU
     once; ``foon merge`` shares one across its inputs. Without it each call
     keeps its own. Either way the result is the same.
     """
+    blocks = {} if blocks is None else blocks
     try:
-        return _parse_blocks(text, {} if blocks is None else blocks)
+        return _parse_blocks(text, blocks)
     except _Irregular:
-        return _parse_lines(text)
+        text = _check_lines(text)
+    return _parse_blocks(text, blocks) if text else []
 
 
 def _refuse_breaks(pos: int, fields: Sequence[str]) -> None:

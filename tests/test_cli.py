@@ -558,6 +558,27 @@ def test_errors_exit_2_when_stderr_cannot_be_written(universal, corpus_paths, tm
                 assert not result.stdout
 
 
+@pytest.mark.skipif(
+    not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")), reason="needs /dev/full and /proc/self/fd"
+)
+def test_stdout_that_cannot_be_written_leaks_no_descriptor_in_process(corpus_paths, tmp_path):
+    # main points an unwritable stdout at the null device; a caller that runs
+    # it in its own process must get back every descriptor opened for that
+    args = ["merge", corpus_paths["ice"], "-o", str(tmp_path / "ice.foon.txt")]
+    saved = sys.stdout, sys.stderr
+    before = len(os.listdir("/proc/self/fd"))
+    try:
+        for _ in range(4):
+            with open("/dev/full", "w") as full:
+                sys.stdout, sys.stderr = full, io.StringIO()
+                with pytest.raises(SystemExit) as exit:
+                    main(args)
+            assert exit.value.code == 2
+    finally:
+        sys.stdout, sys.stderr = saved
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "sink",

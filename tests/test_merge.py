@@ -64,3 +64,10 @@ def test_first_occurrence_wins():
     result = merge_subgraphs([[timestamped], [bare]])
     assert result.kept == 1
     assert result.graph.units[0].motion.start_time == "1:00"
+
+
+def test_merge_takes_any_iterable_of_unit_sequences(corpus_subgraphs):
+    expected = merge_subgraphs(corpus_subgraphs)
+    result = merge_subgraphs(tuple(subgraph) for subgraph in corpus_subgraphs)
+    assert (result.kept, result.dropped) == (expected.kept, expected.dropped)
+    assert list(result.graph.units) == list(expected.graph.units)

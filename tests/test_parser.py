@@ -151,15 +151,15 @@ def _random_units(rng, max_units=6):
 
 @pytest.fixture()
 def line_loop_calls(monkeypatch):
-    """Each text ``parse_subgraph`` hands to the line loop, in call order."""
+    """Each text ``parse_subgraph`` hands to the line check, in call order."""
     calls = []
-    parse_lines = foon.parser._parse_lines
+    check_lines = foon.parser._check_lines
 
     def counted(text):
         calls.append(text)
-        return parse_lines(text)
+        return check_lines(text)
 
-    monkeypatch.setattr(foon.parser, "_parse_lines", counted)
+    monkeypatch.setattr(foon.parser, "_check_lines", counted)
     return calls
 
 
@@ -201,11 +201,37 @@ def test_parse_subgraph_matches_reference_on_corrupted_input(line_loop_calls):
 
 
 def _refuse_line_loop(text):
-    raise AssertionError(f"written text went to the line loop: {text!r}")
+    raise AssertionError(f"written text went to the line check: {text!r}")
+
+
+def test_checked_text_is_read_in_blocks(monkeypatch):
+    # what the line check accepts, it gives back in the writer's form: the
+    # block reader alone turns that into the units the reference reads
+    rng = random.Random(12)
+    corpora = [path.read_text() for path in subgraph_paths()]
+    outcomes = Counter()
+    for draw in range(3_000):
+        if draw % 3 == 0:
+            text = _token_soup(rng)
+        elif draw % 3 == 1:
+            text = _spliced(rng, rng.choice(corpora))
+        else:
+            text = _spliced(rng, write_subgraph(_random_units(rng)), rng.choice((CORPUS_SPLICES, WRITER_SPLICES)))
+        expected = _outcome(reference_parse_subgraph, text)
+        try:
+            checked = foon.parser._check_lines(text)
+        except ParseError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["accepted"] += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(foon.parser, "_check_lines", _refuse_line_loop)
+            assert (_outcome(parse_subgraph, checked) if checked else []) == expected, text
+    assert min(outcomes["refused"], outcomes["accepted"]) >= 300, outcomes
 
 
 def test_written_text_is_read_in_blocks(monkeypatch):
-    monkeypatch.setattr(foon.parser, "_parse_lines", _refuse_line_loop)
+    monkeypatch.setattr(foon.parser, "_check_lines", _refuse_line_loop)
     rng = random.Random(10)
     for _ in range(500):
         units = _random_units(rng)
@@ -218,7 +244,7 @@ def test_written_text_is_read_in_blocks(monkeypatch):
 def test_corpus_files_are_read_in_blocks(path, monkeypatch):
     text = path.read_text()
     expected = _outcome(reference_parse_subgraph, text)
-    monkeypatch.setattr(foon.parser, "_parse_lines", _refuse_line_loop)
+    monkeypatch.setattr(foon.parser, "_check_lines", _refuse_line_loop)
     assert _outcome(parse_subgraph, text) == expected
 
 
@@ -266,7 +292,7 @@ def test_a_shared_memo_gives_what_separate_parses_give():
     units = _random_units(rng, max_units=12)
     texts = [path.read_text() for path in subgraph_paths()]
     texts += [write_subgraph(rng.sample(units, rng.randint(1, len(units)))) for _ in range(6)]
-    texts.insert(2, "# a comment\n" + texts[-1])  # read by the line loop
+    texts.insert(2, "# a comment\n" + texts[-1])  # checked line by line first
     blocks = {}
     shared = [parse_subgraph(text, blocks=blocks) for text in texts]
     separate = [parse_subgraph(text) for text in texts]
@@ -275,6 +301,24 @@ def test_a_shared_memo_gives_what_separate_parses_give():
         assert [(u.inputs, u.motion, u.outputs) for u in one] == [(u.inputs, u.motion, u.outputs) for u in other]
         for unit, twin in zip(one, other):
             assert all(a is b for a, b in zip(unit.inputs + unit.outputs, twin.inputs + twin.outputs))
+
+
+@pytest.mark.parametrize("path", subgraph_paths(), ids=lambda p: p.stem)
+def test_irregular_text_shares_the_memo(path):
+    text = path.read_text()
+    blocks = {}
+    irregular = parse_subgraph("# a recipe\r\n" + text.replace("\n", "\r\n"), blocks=blocks)
+    entries = list(blocks.items())
+    assert entries
+    regular = parse_subgraph(text, blocks=blocks)
+    assert list(blocks.items()) == entries  # keys compare by identity
+    assert [(u.inputs, u.motion, u.outputs) for u in irregular] == [(u.inputs, u.motion, u.outputs) for u in regular]
+
+
+def test_other_breaks_are_every_line_break_but_newline():
+    every = "".join(map(chr, range(0x110000)))
+    breaks = set(every) - set("".join(every.splitlines()))
+    assert sorted(foon.parser._OTHER_BREAKS + "\n") == sorted(breaks)
 
 
 RECURRING_NAMES = ("cream", "bowl", "salad")
