@@ -79,8 +79,8 @@ def _load_inputs(universal: str, kitchen_file: str, goals_file: str, rates_file:
     kitchen = _parse(parse_kitchen, kitchen_file)
     goals = _parse(parse_goal_nodes, goals_file)
     rates = {} if rates_file is None else _parse(parse_motion_rates, rates_file)
-    # fill the cache every retrieval reads, so loading pays for it once
-    # rather than the first retrieval
+    # fill the graph's memo that every retrieval reads, so loading pays for
+    # the pass rather than the first retrieval
     derivation_depths(graph, kitchen)
     return graph, kitchen, goals, rates
 
@@ -313,8 +313,7 @@ def main(args=None, prog_name: str = "foon"):
     The cyclic garbage collector is off while the command runs, since no
     object it builds forms a reference cycle (see :mod:`foon.core`), and is
     turned back on afterwards only if it was on when ``main`` was called.
-    Before that, what the command left alive moves to the oldest generation
-    without a scan, unless the caller has frozen objects of its own."""
+    By then reference counting has freed the command's graph."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -332,9 +331,6 @@ def main(args=None, prog_name: str = "foon"):
         _flush_or_drop(sys.stdout)
         _flush_or_drop(sys.stderr)
         if collecting:
-            if not gc.get_freeze_count():  # unfreezing would thaw the caller's objects too
-                gc.freeze()  # else the first pass would scan all the command's survivors
-                gc.unfreeze()
             gc.enable()
     sys.exit(code)
 

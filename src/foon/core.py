@@ -11,6 +11,8 @@ process, and key equality and hashing are ``object``'s identity versions.
 Everything here except :class:`SearchStats`, which a retrieval fills as it
 runs, is immutable after construction and hashable where identity matters,
 so graphs and kitchens can be shared freely between concurrent retrievals.
+A graph also holds a private memo of what :mod:`foon.retrieval` derives from
+it, maps of keys and unit positions that never refer back to the graph.
 One guard, :class:`Frozen`, refuses every assignment and deletion, and
 constructors store their fields through ``_set``. The record types
 (motions, goals, decisions, stats, trees) are slotted classes that compare,
@@ -21,8 +23,8 @@ the units whose outputs hold it, ascending, each unit once.
 
 No key, unit, graph, record or stats object forms a reference cycle: each
 refers only to objects built before it (keys to strings, units to keys, a
-graph to its units and index, a tree to unit positions and its stats) and
-never back, and the intern table holds its keys weakly. Reference counting
+graph to its units, index and memo, a tree to unit positions and its stats)
+and never back, and the intern table holds its keys weakly. Reference counting
 alone frees them, which is why :func:`foon.cli.main` can run a command with
 the cyclic garbage collector off. A field that points back up (a unit naming
 its graph, say) would break that.
@@ -248,11 +250,12 @@ class FoonGraph(Frozen):
     else (task tree steps, decision logs, DOT node ids).
     """
 
-    __slots__ = ("units", "output_index")
+    __slots__ = ("units", "output_index", "_derived")
 
     def __init__(self, units: Sequence[FunctionalUnit], output_index: dict):
         _set(self, "units", tuple(units))
         _set(self, "output_index", dict(output_index))
+        _set(self, "_derived", {})  # foon.retrieval's memo
 
     def __reduce__(self):
         return (FoonGraph, (self.units, self.output_index))
@@ -267,12 +270,12 @@ def index_outputs(units: Sequence[FunctionalUnit]) -> FoonGraph:
     Raises :class:`DuplicateUnit` if two equal units are passed; use
     :func:`foon.merge.merge_subgraphs` to deduplicate first.
     """
-    seen = set()
+    if len(set(units)) < len(units):  # one pass in C; only a repeat pays to find the first
+        seen = set()
+        pos = next(pos for pos, unit in enumerate(units) if unit in seen or seen.add(unit))
+        raise DuplicateUnit(f"unit {pos} duplicates an earlier unit: {units[pos]!r}")
     index: dict[ObjectKey, list[int]] = {}
     for pos, unit in enumerate(units):
-        if unit in seen:
-            raise DuplicateUnit(f"unit {pos} duplicates an earlier unit: {unit!r}")
-        seen.add(unit)
         for key in unit.outputs:
             positions = index.setdefault(key, [])
             if not positions or positions[-1] != pos:  # a unit may list a key twice

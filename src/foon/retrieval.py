@@ -18,6 +18,8 @@ candidate units to try for a needed key, in order:
 
 Both take the kitchen as a ``frozenset`` of keys and motion success rates as
 a mapping of motion name to rate, so this module needs only :mod:`foon.core`.
+What they derive from a graph lives in the graph's own memo
+(:func:`_per_graph`), so no module-level state holds a graph or a kitchen.
 
 Both prune any candidate whose inputs include a key already on the active
 resolution path, which guarantees termination on cyclic graphs. A needed key
@@ -82,7 +84,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from functools import lru_cache
+from functools import wraps
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -99,6 +101,7 @@ from .core import (
 )
 
 DEFAULT_DEPTH_CAP = 100
+_KITCHENS = 4  # kitchens per graph whose derived data the graph keeps
 
 
 class HeuristicId(Enum):
@@ -192,7 +195,24 @@ def execution_order(
     return tuple(steps)
 
 
-@lru_cache(maxsize=1)
+def _per_graph(build):
+    """``build(graph, *args)``, kept in ``graph``'s memo for the ``_KITCHENS``
+    most recently built ``args`` (a kitchen, or none) in a dict that is
+    swapped in whole and never changed, so readers take no lock."""
+
+    @wraps(build)
+    def derived(graph: FoonGraph, *args):
+        entries = graph._derived.get(build.__name__, {})
+        value = entries.get(args)
+        if value is None:
+            value = derived.__wrapped__(graph, *args)  # read per call, so a test can count builds
+            graph._derived[build.__name__] = dict([(args, value), *list(entries.items())[: _KITCHENS - 1]])
+        return value
+
+    return derived
+
+
+@_per_graph
 def derivation_depths(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mapping[ObjectKey, int]:
     """Fewest unit hops that derive each key from the ``kitchen`` keys, which
     are at 0; a key the kitchen cannot derive is absent.
@@ -203,7 +223,7 @@ def derivation_depths(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mappin
     unsettled outputs at the current level, and the units those outputs
     release form the next frontier. Keys settle in nondecreasing depth, so a
     unit released at level d has depth d + 1, in O(E) time for E input
-    edges. The one most recent result is cached, so retrievals over the same
+    edges. The result is kept in the graph's memo, so retrievals over the same
     graph and kitchen share it, read-only.
     """
     units = graph.units
@@ -238,17 +258,17 @@ def derivation_depths(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mappin
     return MappingProxyType(depth)
 
 
-@lru_cache(maxsize=1)
+@_per_graph
 def _input_counts(graph: FoonGraph) -> dict[int, float]:
     """The h2 scores of ``graph``'s units by position, which
     :func:`retrieve_gbfs` fills as it scores candidates, so no unit is scored
-    twice and none that no retrieval meets is scored at all. The memo of the
-    one most recent graph is cached; threads that race on a unit write the
-    same score."""
+    twice and none that no retrieval meets is scored at all. One map per
+    graph, kept in its memo; threads that race on a unit write the same
+    score."""
     return {}
 
 
-@lru_cache(maxsize=1)
+@_per_graph
 def _chain_bounds(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mapping[ObjectKey, int]:
     """An upper bound on the keys of a simple chain from each key in the
     needs graph (see the module docstring). The map holds every key not in
@@ -259,8 +279,8 @@ def _chain_bounds(graph: FoonGraph, kitchen: frozenset[ObjectKey]) -> Mapping[Ob
     strongly connected components. It emits them in reverse topological
     order, so when a component is emitted, every edge that leaves it ends in
     a key whose bound is set, and its keys' bound is its size plus the
-    largest of those. That is O(E) time for E input edges. The one most
-    recent result is cached, read-only, like :func:`derivation_depths`.
+    largest of those. That is O(E) time for E input edges. The result is
+    kept in the graph's memo, read-only, like :func:`derivation_depths`.
     """
     units = graph.units
     bound: dict[ObjectKey, int] = {}

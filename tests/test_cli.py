@@ -677,17 +677,6 @@ def _collector_passes(runner, args):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_main_leaves_the_collector_no_survivors_to_scan(runner, tmp_path):
-    # with the collector on when main is called, no pass starts inside main:
-    # what the command leaves alive, the retrieval's cached graph among it, is
-    # moved to the oldest generation before the collector is turned back on
-    graph, kitchen, goal = chain_graph(1000)
-    assert len(graph.units) >= 2000
-    universal, kitchen_file, goals_file = _write_instance(tmp_path, graph, kitchen, goal)
-    args = ["retrieve", universal, kitchen_file, goals_file, "--algo", "gbfs2", "--out-dir", str(tmp_path / "o")]
-    assert _collector_passes(runner, args) == (0, [])
-
-
 def test_main_keeps_the_callers_frozen_objects_frozen(runner, universal, corpus_paths, tmp_path):
     gc.freeze()
     try:
@@ -745,6 +734,47 @@ def test_cyclic_garbage_does_not_grow_with_the_input(universal, corpus_paths, tm
     assert corpus[0] == large[0] == 1  # lasagna is unresolvable in both
     assert corpus[1] == large[1]
     assert corpus[2] == large[2] == []
+
+
+SURVIVORS = (
+    "import gc, json, sys\n"
+    "from foon.cli import main\n"
+    "gc.collect()\n"
+    "before = len(gc.get_objects())\n"
+    "try:\n"
+    "    main(sys.argv[1:], prog_name='foon')\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "gc.collect()\n"
+    "print()\n"
+    "print(json.dumps([code, len(gc.get_objects()) - before]))\n"
+)
+
+
+def _survivors(*args):
+    """Exit code, and how many more objects the collector tracks after
+    ``foon args`` runs in a new process than before, garbage collected."""
+    result = subprocess.run(
+        [sys.executable, "-c", SURVIVORS, *args], env=_fresh_env(), capture_output=True, text=True, timeout=120
+    )
+    assert "Traceback" not in result.stderr, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_what_main_leaves_alive_does_not_grow_with_the_input(universal, corpus_paths, tmp_path):
+    # the command's graph, its memo and its keys are freed as the command
+    # returns; what stays (lazily imported modules, the regex cache) is the
+    # same few hundred objects whatever the input
+    corpus = ["retrieve", universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
+    corpus = _survivors(*corpus, "--algo", "gbfs2", "--out-dir", str(tmp_path / "corpus"))
+    graph, kitchen, goal = chain_graph(1000)
+    assert len(graph.units) >= 2000
+    chain_dir = tmp_path / "chain"
+    chain_dir.mkdir()
+    chain = _write_instance(chain_dir, graph, kitchen, goal)
+    large = _survivors("retrieve", *chain, "--algo", "gbfs2", "--out-dir", str(tmp_path / "large"))
+    assert corpus[0] == large[0] == 0
+    assert large[1] <= corpus[1] + 100, (corpus, large)
 
 
 def _foon(*args, **env):

@@ -133,6 +133,10 @@ def test_index_rejects_duplicates():
     u = unit(["milk"], "pour", ["cream"])
     with pytest.raises(DuplicateUnit):
         index_outputs([u, u])
+    # the error names the first unit that repeats an earlier one
+    v, w = unit(["egg"], "beat", ["batter"]), unit(["ice"], "melt", ["water"])
+    with pytest.raises(DuplicateUnit, match=r"^unit 3 duplicates an earlier unit: <FunctionalUnit \[egg\]"):
+        index_outputs([v, u, w, v, u, w])
 
 
 def test_find_candidates_absent_key():

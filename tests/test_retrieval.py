@@ -72,6 +72,31 @@ def built_stats(monkeypatch):
     return built
 
 
+DERIVATIONS = ("derivation_depths", "_chain_bounds", "_input_counts")
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """``(reads, builds)``: per derivation in the graphs' memos, how often the
+    library read it and how often it was built because the memo lacked it."""
+    reads, builds = Counter(), Counter()
+    for name in DERIVATIONS:
+        derived = getattr(foon.retrieval, name)
+
+        def build(*args, name=name, build=derived.__wrapped__):
+            builds[name] += 1
+            return build(*args)
+
+        def read(*args, name=name, derived=derived):
+            reads[name] += 1
+            return derived(*args)
+
+        monkeypatch.setattr(derived, "__wrapped__", build)
+        monkeypatch.setattr(foon.retrieval, name, read)
+    monkeypatch.setattr(foon.cli, "derivation_depths", foon.retrieval.derivation_depths)
+    return reads, builds
+
+
 # --- heuristics ---------------------------------------------------------
 
 
@@ -454,16 +479,16 @@ def test_gbfs_underivable_goal_searches_nothing(built_stats, heuristic, goal_nam
     assert stats.decision_log == []
 
 
-def test_compare_computes_derivation_depths_once(tmp_path, corpus_graph, corpus_goals):
+def test_compare_computes_derivation_depths_once(tmp_path, corpus_graph, corpus_goals, derivations):
+    reads, builds = derivations
     universal = tmp_path / "universal.foon.txt"
     universal.write_text(write_subgraph(corpus_graph.units), encoding="utf-8")
     args = ["compare", str(universal), str(corpus_file("kitchen.json")), str(corpus_file("goal_nodes.json"))]
-    derivation_depths.cache_clear()
     result = CliRunner().invoke(cli_main, args)
     assert result.exit_code == 0, result.output
-    info = derivation_depths.cache_info()
-    # loading fills the cache and every retrieval of every goal reads it
-    assert (info.misses, info.hits) == (1, 3 * len(corpus_goals))
+    # loading fills the memo and every retrieval of every goal reads it
+    name = "derivation_depths"
+    assert (builds[name], reads[name] - builds[name]) == (1, 3 * len(corpus_goals))
 
 
 # --- the chain bound ----------------------------------------------------
@@ -573,23 +598,21 @@ def test_chain_bounds_deeper_than_recursion_limit():
     assert err.value.reason == "no-candidates"
 
 
-def test_compare_computes_chain_bounds_only_for_underivable_ids_goals(tmp_path, corpus_graph):
+def test_compare_computes_chain_bounds_only_for_underivable_ids_goals(tmp_path, corpus_graph, derivations):
+    reads, builds = derivations
     universal = tmp_path / "universal.foon.txt"
     universal.write_text(write_subgraph(corpus_graph.units), encoding="utf-8")
     underivable = tmp_path / "goals.json"
     underivable.write_text(json.dumps([{"object": name} for name in ("cake", "pie", "tart")]), encoding="utf-8")
     kitchen = str(corpus_file("kitchen.json"))
-    foon.retrieval._chain_bounds.cache_clear()
     resolvable = corpus_file("goal_nodes.json")
     result = CliRunner().invoke(cli_main, ["compare", str(universal), kitchen, str(resolvable)])
     assert result.exit_code == 0, result.output
-    info = foon.retrieval._chain_bounds.cache_info()
-    assert (info.misses, info.hits) == (0, 0)  # every goal resolves
+    assert (builds["_chain_bounds"], reads["_chain_bounds"]) == (0, 0)  # every goal resolves
     result = CliRunner().invoke(cli_main, ["compare", str(universal), kitchen, str(underivable)])
     assert result.exit_code == 1, result.output
-    info = foon.retrieval._chain_bounds.cache_info()
     # the first IDS failure pays for the pass, the others read it
-    assert (info.misses, info.hits) == (1, 2)
+    assert (builds["_chain_bounds"], reads["_chain_bounds"] - builds["_chain_bounds"]) == (1, 2)
 
 
 # --- the iterative engine against the recursive reference --------------
@@ -642,16 +665,18 @@ def test_engine_matches_recursive_reference(corpus_graph, corpus_kitchen, corpus
         assert outcomes[name, "dead-end"] >= 50, name
 
 
-def test_gbfs_matches_recursive_reference_as_input_counts_vary_and_graphs_switch():
+def test_gbfs_matches_recursive_reference_as_input_counts_vary_and_graphs_switch(derivations):
     # ingredients spread input counts past 1 and 2 and still tie; each round
     # runs every goal of one graph with both heuristics, and the rounds go
-    # A, B, A, so the memo of input counts is read warm, then replaced
+    # A, B, A, so each graph's memo of input counts is read warm, and A's
+    # survives the switch to B
+    reads, builds = derivations
     rng = random.Random(14)
-    foon.retrieval._input_counts.cache_clear()
     outcomes, counts, ties = Counter(), Counter(), 0
     for _ in range(150):
         pair = [random_instance(rng, max_units=16, max_ingredients=3) for _ in range(2)]
-        for graph, kitchen, _, rates in pair + pair[:1]:
+        for turn, (graph, kitchen, _, rates) in enumerate(pair + pair[:1]):
+            built = builds["_input_counts"]
             for target in graph.output_index:
                 for heuristic in HeuristicId:
                     args = (graph, kitchen, GoalSpec(target), heuristic, rates)
@@ -662,34 +687,32 @@ def test_gbfs_matches_recursive_reference_as_input_counts_vary_and_graphs_switch
                         for decision in got[-1]:
                             counts.update(decision.scores)
                             ties += decision.scores.count(min(decision.scores)) > 1
+            assert builds["_input_counts"] - built <= (turn < 2)
     for heuristic in HeuristicId:
         assert outcomes[heuristic, "resolved"] >= 1000 and outcomes[heuristic, "dead-end"] >= 400, heuristic
     assert sorted(counts) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0] and ties >= 150
-    info = foon.retrieval._input_counts.cache_info()
-    assert info.misses >= 300 and info.hits >= 1000
+    assert builds["_input_counts"] >= 250 and reads["_input_counts"] - builds["_input_counts"] >= 1000
 
 
-def test_input_count_memo_stays_off_failures_and_success_rates(tmp_path, corpus_graph, corpus_goals):
+def test_input_count_memo_stays_off_failures_and_success_rates(tmp_path, corpus_graph, corpus_goals, derivations):
+    reads, builds = derivations
     universal = tmp_path / "universal.foon.txt"
     universal.write_text(write_subgraph(corpus_graph.units), encoding="utf-8")
     underivable = tmp_path / "goals.json"
     underivable.write_text(json.dumps([{"object": name} for name in ("cake", "pie", "tart")]), encoding="utf-8")
     inputs = [str(universal), str(corpus_file("kitchen.json"))]
     resolvable = str(corpus_file("goal_nodes.json"))
-    foon.retrieval._input_counts.cache_clear()
     for args, exit_code in [
         (["compare", *inputs, str(underivable)], 1),  # every algorithm, every goal fails
         (["retrieve", *inputs, resolvable, "--algo", "gbfs1", "--out-dir", str(tmp_path / "h1")], 0),
     ]:
         result = CliRunner().invoke(cli_main, args)
         assert result.exit_code == exit_code, result.output
-        info = foon.retrieval._input_counts.cache_info()
-        assert (info.misses, info.hits) == (0, 0)
+        assert (builds["_input_counts"], reads["_input_counts"]) == (0, 0)
     args = ["retrieve", *inputs, resolvable, "--algo", "gbfs2", "--out-dir", str(tmp_path / "h2")]
     result = CliRunner().invoke(cli_main, args)
     assert result.exit_code == 0, result.output
-    info = foon.retrieval._input_counts.cache_info()
-    assert (info.misses, info.hits) == (1, len(corpus_goals) - 1)
+    assert (builds["_input_counts"], reads["_input_counts"] - builds["_input_counts"]) == (1, len(corpus_goals) - 1)
 
 
 def test_concurrent_gbfs_over_one_graph_matches_serial_runs():
@@ -707,23 +730,24 @@ def test_concurrent_gbfs_over_one_graph_matches_serial_runs():
         for key in layers[layer]
         for _ in range(3)
     ]
-    graph = index_outputs(list(dict.fromkeys(units)))
+    units = list(dict.fromkeys(units))
     kitchen = frozenset(layers[6])
     goals = [GoalSpec(key) for key in layers[0]]
 
-    def run_all(order):
+    def run_all(graph, order):
         return {goal: _outcome(retrieve_gbfs, graph, kitchen, goal, HeuristicId.INPUT_COUNT) for goal in order}
 
-    foon.retrieval._input_counts.cache_clear()
-    serial = run_all(goals)
+    serial = run_all(index_outputs(units), goals)
     assert all(not isinstance(outcome, str) for outcome in serial.values())
     results = []
-    foon.retrieval._input_counts.cache_clear()
+    graph = index_outputs(units)  # a new graph, whose memo is cold
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [
-            threading.Thread(target=lambda seed=seed: results.append(run_all(random.Random(seed).sample(goals, 30))))
+            threading.Thread(
+                target=lambda seed=seed: results.append(run_all(graph, random.Random(seed).sample(goals, 30)))
+            )
             for seed in range(4)
         ]
         for thread in threads:
@@ -735,6 +759,59 @@ def test_concurrent_gbfs_over_one_graph_matches_serial_runs():
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 4
     assert all(result == serial for result in results)
+
+
+# --- the graph's memo ---------------------------------------------------
+
+
+def _retrieve_all(graph, kitchen, goal):
+    """Every algorithm's outcome for ``goal``, failures included."""
+    return [_outcome(retrieve_ids, graph, kitchen, goal)] + [
+        _outcome(retrieve_gbfs, graph, kitchen, goal, heuristic) for heuristic in HeuristicId
+    ]
+
+
+def test_alternating_kitchens_build_each_derivation_once_per_kitchen(derivations):
+    _, builds = derivations
+    graph, kitchen, goal = milk_setup()
+    runs = [(k, g) for k in (kitchen, frozenset({key_of("cream")})) for g in (goal, GoalSpec(key_of("cake")))]
+    first = [_retrieve_all(graph, *run) for run in runs]
+    for _ in range(3):
+        assert [_retrieve_all(graph, *run) for run in runs] == first
+    # "cake" has no producer, so IDS reads its chain bound under each kitchen
+    assert builds == {"derivation_depths": 2, "_chain_bounds": 2, "_input_counts": 1}
+
+
+def test_alternating_graphs_build_each_derivation_once_per_graph(derivations):
+    _, builds = derivations
+    graph, kitchen, goal = milk_setup()
+    graphs = [graph, index_outputs(graph.units)]  # equal units, a memo each
+    first = [_retrieve_all(g, kitchen, goal) for g in graphs]
+    for _ in range(3):
+        assert [_retrieve_all(g, kitchen, goal) for g in graphs] == first
+    assert builds == {"derivation_depths": 2, "_input_counts": 2}
+
+
+def test_kitchens_past_the_limit_evict_the_oldest(derivations):
+    _, builds = derivations
+    graph = milk_setup()[0]
+    kitchens = [frozenset({key_of(f"k{i}")}) for i in range(foon.retrieval._KITCHENS + 1)]
+    for kitchen in kitchens + kitchens[1:]:  # the last _KITCHENS stay
+        derivation_depths(graph, kitchen)
+    assert builds["derivation_depths"] == len(kitchens)
+    derivation_depths(graph, kitchens[0])
+    assert builds["derivation_depths"] == len(kitchens) + 1
+
+
+def test_a_retrieval_adds_no_reference_to_its_graph():
+    # so a dropped graph is freed by reference counting, memo and all: nothing
+    # in the memo refers back to it, and no module-level state holds it
+    graph, kitchen, goal = milk_setup()
+    before = sys.getrefcount(graph)
+    for target in (goal, GoalSpec(key_of("cake"))):
+        _retrieve_all(graph, kitchen, target)
+    assert sys.getrefcount(graph) == before
+    assert set(graph._derived) == set(DERIVATIONS)
 
 
 # --- deep graphs --------------------------------------------------------
