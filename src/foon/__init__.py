@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "retrieval": (
         "CyclicResolution", "HeuristicId", "UnresolvableGoal", "derivation_depths", "execution_order",
-        "heuristic_input_count", "heuristic_success_rate", "retrieve_gbfs", "retrieve_ids",
+        "heuristic_input_count", "retrieve_gbfs", "retrieve_ids",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import FoonError, GoalSpec, TaskTree
+from .core import Algorithm, FoonError, GoalSpec, TaskTree
 from .export import to_dot, write_task_tree
 from .merge import merge_subgraphs
 from .parser import (
@@ -44,7 +44,7 @@ from .retrieval import (
     retrieve_ids,
 )
 
-ALGOS = ("ids", "gbfs1", "gbfs2")
+ALGOS = tuple(algorithm.value for algorithm in Algorithm)
 
 CSV_COLUMNS = ["goal", "algorithm", "units", "expanded", "depth_bound", "resolved"]
 CSV_ORACLE_COLUMNS = CSV_COLUMNS + ["minimal_units", "minimal_depth"]

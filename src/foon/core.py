@@ -18,6 +18,7 @@ constructors store their fields through ``_set``. The record types
 (motions, goals, decisions, stats, trees) are slotted classes that compare,
 hash, print and pickle by their field values.
 
+A graph derives its output index from its units and refuses duplicate units.
 A key's producers are ``graph.output_index.get(key, ())``: the positions of
 the units whose outputs hold it, ascending, each unit once.
 
@@ -246,41 +247,43 @@ class FoonGraph(Frozen):
     """Deduplicated, order-preserving collection of functional units with an
     index from output key to producing unit positions, each unit once.
 
-    Unit positions in ``units`` are the stable identifiers used everywhere
-    else (task tree steps, decision logs, DOT node ids).
+    It is built from its units alone: the constructor derives the index and
+    raises :class:`DuplicateUnit` on two equal units (deduplicate with
+    :func:`foon.merge.merge_subgraphs`), and a pickle or copy carries the
+    units and rebuilds the index. Unit positions in ``units`` are the stable
+    identifiers used everywhere else (task tree steps, decision logs, DOT
+    node ids).
     """
 
     __slots__ = ("units", "output_index", "_derived")
 
-    def __init__(self, units: Sequence[FunctionalUnit], output_index: dict):
-        _set(self, "units", tuple(units))
-        _set(self, "output_index", dict(output_index))
+    def __init__(self, units: Sequence[FunctionalUnit]):
+        units = tuple(units)
+        if len(set(units)) < len(units):  # one pass in C; only a repeat pays to find the first
+            seen = set()
+            pos = next(pos for pos, unit in enumerate(units) if unit in seen or seen.add(unit))
+            raise DuplicateUnit(f"unit {pos} duplicates an earlier unit: {units[pos]!r}")
+        index: dict[ObjectKey, list[int]] = {}
+        for pos, unit in enumerate(units):
+            for key in unit.outputs:
+                positions = index.setdefault(key, [])
+                if not positions or positions[-1] != pos:  # a unit may list a key twice
+                    positions.append(pos)
+        _set(self, "units", units)
+        _set(self, "output_index", {key: tuple(positions) for key, positions in index.items()})
         _set(self, "_derived", {})  # foon.retrieval's memo
 
     def __reduce__(self):
-        return (FoonGraph, (self.units, self.output_index))
+        return (FoonGraph, (self.units,))
 
     def __len__(self) -> int:
         return len(self.units)
 
 
 def index_outputs(units: Sequence[FunctionalUnit]) -> FoonGraph:
-    """Build a :class:`FoonGraph` from an already-deduplicated unit list.
-
-    Raises :class:`DuplicateUnit` if two equal units are passed; use
-    :func:`foon.merge.merge_subgraphs` to deduplicate first.
-    """
-    if len(set(units)) < len(units):  # one pass in C; only a repeat pays to find the first
-        seen = set()
-        pos = next(pos for pos, unit in enumerate(units) if unit in seen or seen.add(unit))
-        raise DuplicateUnit(f"unit {pos} duplicates an earlier unit: {units[pos]!r}")
-    index: dict[ObjectKey, list[int]] = {}
-    for pos, unit in enumerate(units):
-        for key in unit.outputs:
-            positions = index.setdefault(key, [])
-            if not positions or positions[-1] != pos:  # a unit may list a key twice
-                positions.append(pos)
-    return FoonGraph(units, {k: tuple(v) for k, v in index.items()})
+    """The :class:`FoonGraph` of ``units``, which must hold no two equal
+    units; see the class."""
+    return FoonGraph(units)
 
 
 class GoalSpec(FrozenRecord):

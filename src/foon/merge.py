@@ -23,8 +23,8 @@ def merge_subgraphs(subgraphs: Iterable[Sequence[FunctionalUnit]]) -> MergeResul
     """Union subgraphs into one graph, first occurrence wins.
 
     Units are concatenated in the given order; any unit equal to an
-    earlier-kept one is dropped. Duplicates across recipes are expected,
-    not errors.
+    earlier-kept one is dropped, and the graph is built from the kept units,
+    deriving its own index. Duplicates across recipes are expected, not errors.
     """
     units = list(chain.from_iterable(subgraphs))
     kept = list(dict.fromkeys(units))  # a dict keeps the first of equal keys

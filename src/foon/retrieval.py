@@ -138,12 +138,6 @@ class CyclicResolution(FoonError):
     """The chosen units admit no executable linear order."""
 
 
-def heuristic_success_rate(unit: FunctionalUnit, rates: Mapping[str, float]) -> float:
-    """Success rate of the unit's motion; unknown motions default to 0.0 so
-    they never beat a known rate."""
-    return rates.get(unit.motion.name, 0.0)
-
-
 def heuristic_input_count(unit: FunctionalUnit) -> int:
     """Number of input objects plus their ingredient counts."""
     return len(unit.inputs) + sum(len(key.ingredients) for key in unit.inputs)

@@ -34,7 +34,6 @@ from foon.retrieval import (
     UnresolvableGoal,
     execution_order,
     heuristic_input_count,
-    heuristic_success_rate,
 )
 
 
@@ -435,7 +434,7 @@ def recursive_retrieve_gbfs(
         stats.candidate_evaluations += 1
         if minimize:
             return float(heuristic_input_count(unit))
-        return heuristic_success_rate(unit, rates)
+        return rates.get(unit.motion.name, 0.0)  # an unknown motion never beats a known rate
 
     def resolve(key: ObjectKey, path: frozenset) -> bool:
         if key in kitchen:

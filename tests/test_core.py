@@ -15,6 +15,7 @@ from foon.core import (
     Algorithm,
     Decision,
     DuplicateUnit,
+    FoonGraph,
     FrozenRecord,
     FunctionalUnit,
     GoalSpec,
@@ -28,7 +29,7 @@ from foon.data import subgraph_paths
 from foon.export import to_dot
 from foon.merge import MergeResult, merge_subgraphs
 from foon.parser import parse_goal_nodes, parse_kitchen, parse_subgraph
-from helpers import build_graph, key_of, obj, unit
+from helpers import build_graph, key_of, obj, random_instance, unit
 
 WORDS = ["cream", "bowl", "tomato", "salad", "feta", "knife", "sugar", "oil"]
 STATES = ["raw", "whipped", "sliced", "mixed", "in [bowl]", "dirty", "empty"]
@@ -131,12 +132,43 @@ def test_index_two_producers_ascending():
 
 def test_index_rejects_duplicates():
     u = unit(["milk"], "pour", ["cream"])
-    with pytest.raises(DuplicateUnit):
-        index_outputs([u, u])
-    # the error names the first unit that repeats an earlier one
     v, w = unit(["egg"], "beat", ["batter"]), unit(["ice"], "melt", ["water"])
-    with pytest.raises(DuplicateUnit, match=r"^unit 3 duplicates an earlier unit: <FunctionalUnit \[egg\]"):
-        index_outputs([v, u, w, v, u, w])
+    for build in (index_outputs, FoonGraph):  # the constructor itself refuses them
+        with pytest.raises(DuplicateUnit):
+            build([u, u])
+        # the error names the first unit that repeats an earlier one
+        with pytest.raises(DuplicateUnit, match=r"^unit 3 duplicates an earlier unit: <FunctionalUnit \[egg\]"):
+            build([v, u, w, v, u, w])
+
+
+def reference_index(units):
+    """Each output key's producer positions, ascending, each unit once,
+    found by scanning every unit for the key."""
+    keys = {key for u in units for key in u.outputs}
+    return {key: tuple(pos for pos, u in enumerate(units) if key in u.outputs) for key in keys}
+
+
+def test_graph_derives_its_index_from_its_units(corpus_graph):
+    rng = random.Random(23)
+    twice = unit(["milk"], "split", ["cream", "whey", "cream"])  # lists one key twice
+    unit_lists = [corpus_graph.units, [twice, unit(["cream"], "whip", ["cream"])]]
+    unit_lists += [random_instance(rng, max_units=20)[0].units for _ in range(200)]
+    for units in unit_lists:
+        graph = FoonGraph(units)
+        assert graph.output_index == reference_index(units)
+        assert all(type(positions) is tuple for positions in graph.output_index.values())
+        assert index_outputs(units).output_index == graph.output_index
+
+
+def test_graph_is_built_from_its_units_alone(corpus_graph):
+    caller_units = list(corpus_graph.units)
+    graph = FoonGraph(caller_units)
+    caller_units.clear()  # the graph keeps nothing its caller holds
+    assert graph.units == corpus_graph.units
+    assert graph.output_index == reference_index(corpus_graph.units)
+    assert graph.__reduce__()[1] == (graph.units,)
+    with pytest.raises(TypeError):
+        FoonGraph(corpus_graph.units, corpus_graph.output_index)
 
 
 def test_find_candidates_absent_key():

@@ -19,7 +19,6 @@ from foon.retrieval import (
     derivation_depths,
     execution_order,
     heuristic_input_count,
-    heuristic_success_rate,
     retrieve_gbfs,
     retrieve_ids,
 )
@@ -98,17 +97,6 @@ def derivations(monkeypatch):
 
 
 # --- heuristics ---------------------------------------------------------
-
-
-def test_success_rate_lookup():
-    u = unit(["cream"], "whip", ["x"])
-    assert heuristic_success_rate(u, {"whip": 0.9}) == 0.9
-
-
-def test_success_rate_missing_motion_defaults_zero():
-    u = unit(["cream"], "whip", ["x"])
-    assert heuristic_success_rate(u, {"pour": 0.4}) == 0.0
-    assert heuristic_success_rate(u, {}) == 0.0
 
 
 def test_input_count_plain():
