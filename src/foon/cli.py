@@ -28,6 +28,7 @@ from .export import to_dot, write_task_tree
 from .merge import merge_subgraphs
 from .parser import (
     ParseError,
+    ParseWarning,
     SchemaError,
     parse_goal_nodes,
     parse_kitchen,
@@ -61,11 +62,12 @@ def _read(path: str) -> str:
 
 def _parse(parse, path: str, **options):
     """``parse`` of the text of the file at ``path``, whose name a parse or
-    schema error then carries."""
+    schema error then carries, as does a parse warning that the warnings
+    filter turned into an error."""
     text = _read(path)
     try:
         return parse(text, **options)
-    except (ParseError, SchemaError) as exc:
+    except (ParseError, SchemaError, ParseWarning) as exc:
         raise FoonError(f"cannot parse {path}: {exc}") from None
 
 

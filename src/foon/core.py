@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 import weakref
 from enum import Enum
-from functools import total_ordering
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 
@@ -97,13 +97,12 @@ class FrozenRecord(Record, Frozen):
     __slots__ = ()
 
 
-@total_ordering
 class ObjectKey(Frozen):
     """An object: its name, state set and ingredient list, canonicalized.
 
     The constructor trims and lowercases every field, deduplicates and sorts
     the states, and sorts the ingredients (duplicates kept -- multiset
-    semantics). Keys order as their ``(name, states, ingredients)`` tuples.
+    semantics).
 
     Keys are interned: constructing a key with the fields of a live one
     returns that instance, also when threads construct it at once. Two
@@ -152,15 +151,7 @@ class ObjectKey(Frozen):
         return key
 
     def __reduce__(self):
-        return (ObjectKey, self._fields())
-
-    def _fields(self) -> tuple:
-        return (self.name, self.states, self.ingredients)
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, ObjectKey):
-            return NotImplemented
-        return self._fields() < other._fields()
+        return (ObjectKey, (self.name, self.states, self.ingredients))
 
     def __repr__(self) -> str:
         return f"ObjectKey({self.name!r}, states={list(self.states)}, ingredients={list(self.ingredients)})"
@@ -226,7 +217,7 @@ class FunctionalUnit(Frozen):
 
     def _identity(self) -> tuple:
         # keys are interned, so ordering them by id puts equal multisets in
-        # one order without calling ObjectKey.__lt__
+        # one order
         return (tuple(sorted(self.inputs, key=id)), self.motion.name, tuple(sorted(self.outputs, key=id)))
 
     def __eq__(self, other) -> bool:
@@ -246,6 +237,8 @@ class FunctionalUnit(Frozen):
 class FoonGraph(Frozen):
     """Deduplicated, order-preserving collection of functional units with an
     index from output key to producing unit positions, each unit once.
+    ``output_index`` is a read-only mapping, so it cannot disagree with
+    ``units``.
 
     It is built from its units alone: the constructor derives the index and
     raises :class:`DuplicateUnit` on two equal units (deduplicate with
@@ -270,7 +263,7 @@ class FoonGraph(Frozen):
                 if not positions or positions[-1] != pos:  # a unit may list a key twice
                     positions.append(pos)
         _set(self, "units", units)
-        _set(self, "output_index", {key: tuple(positions) for key, positions in index.items()})
+        _set(self, "output_index", MappingProxyType({key: tuple(positions) for key, positions in index.items()}))
         _set(self, "_derived", {})  # foon.retrieval's memo
 
     def __reduce__(self):

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from importlib.resources import files
 from pathlib import Path
 
 SUBGRAPH_NAMES = ("whipped_cream", "greek_salad", "ice")
 
 
 def corpus_dir() -> Path:
-    return Path(str(files("foon") / "corpus"))
+    return Path(__file__).with_name("corpus")
 
 
 def corpus_file(name: str) -> Path:

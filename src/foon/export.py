@@ -48,7 +48,7 @@ def to_dot(graph: FoonGraph, tree: Optional[TaskTree] = None) -> str:
 
     lines = ["digraph foon {"]
     ids: dict[ObjectKey, str] = {}
-    # the order of ObjectKey.__lt__, compared in C
+    # by name, then states, then ingredients, compared in C
     for key in sorted(roles, key=operator.attrgetter("name", "states", "ingredients")):
         label = str(key)
         ids[key] = "obj_" + hashlib.sha1(label.encode("utf-8")).hexdigest()[:10]

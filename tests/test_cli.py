@@ -474,6 +474,37 @@ def test_readme_cli_block_runs_as_processes(corpus_paths, tmp_path):
             [sys.executable, "-m", "foon.cli", *args], env=_fresh_env(), capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, (args[0], result.stderr)
+        # development mode shows a leaked descriptor only on stderr
+        assert result.stderr == "", args[0]
+
+
+def test_parse_warnings_made_errors_exit_2(universal, corpus_paths, tmp_path):
+    (tmp_path / "doubled").mkdir()
+    kitchen = tmp_path / "doubled" / "kitchen.json"
+    items = json.loads(Path(corpus_paths["kitchen.json"]).read_text(encoding="utf-8"))
+    kitchen.write_text(json.dumps([*items, items[0]]), encoding="utf-8")
+    rates = tmp_path / "doubled" / "motion.txt"
+    table = Path(corpus_paths["motion.txt"]).read_text(encoding="utf-8")
+    rates.write_text(table + table.splitlines()[0] + "\n", encoding="utf-8")
+    goals = corpus_paths["goal_nodes.json"]
+    for args, path, message in [
+        (["compare", universal, str(kitchen), goals], kitchen, "duplicate kitchen item cream{raw} collapsed"),
+        (["compare", universal, corpus_paths["kitchen.json"], goals, "--motion-rates", str(rates)], rates,
+         "duplicate rate for"),
+    ]:
+        strict = subprocess.run(
+            [sys.executable, "-m", "foon.cli", *args], env=_fresh_env(PYTHONWARNINGS="error::UserWarning"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert strict.returncode == 2, strict.stderr
+        assert strict.stderr.startswith(f"Error: cannot parse {path}: ") and strict.stderr.count("\n") == 1
+        assert message in strict.stderr
+        lenient = subprocess.run(
+            [sys.executable, "-m", "foon.cli", *args], env=_fresh_env(PYTHONWARNINGS="default"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert lenient.returncode == 0, lenient.stderr
+        assert "ParseWarning" in lenient.stderr and message in lenient.stderr
 
 
 def _unwritable_stdout(sink: str) -> int:

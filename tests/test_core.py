@@ -24,6 +24,7 @@ from foon.core import (
     SearchStats,
     TaskTree,
     index_outputs,
+    validate_task_tree,
 )
 from foon.data import subgraph_paths
 from foon.export import to_dot
@@ -270,6 +271,25 @@ def test_units_compare_and_hash_without_key_comparisons(monkeypatch):
     assert first != FunctionalUnit([a, b, b], MotionNode("mix"), [c])
 
 
+def test_keys_do_not_order():
+    with pytest.raises(TypeError):
+        ObjectKey("a") < ObjectKey("b")
+
+
+def test_graph_index_is_read_only(corpus_graph):
+    index = FoonGraph(corpus_graph.units).output_index
+    key = next(iter(index))
+    with pytest.raises(TypeError):
+        index[key] = ()
+    with pytest.raises(TypeError):
+        del index[key]
+    with pytest.raises(AttributeError):
+        index.pop(key)
+    with pytest.raises(AttributeError):
+        index.clear()
+    assert index == reference_index(corpus_graph.units)
+
+
 def test_graph_round_trips_through_pickle_and_deepcopy(corpus_graph):
     originals = {key: key for key in corpus_graph.output_index}
     for copied in (pickle.loads(pickle.dumps(corpus_graph)), copy.deepcopy(corpus_graph)):
@@ -446,3 +466,32 @@ def test_racing_constructors_return_one_instance(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     a, b = built
     assert a is b
+
+
+# --- task tree validation -------------------------------------------------
+
+
+def _milk_to_whipped_cream():
+    graph = build_graph([(["milk"], "skim", ["cream"]), (["cream"], "whip", ["whipped cream"])])
+    return graph, frozenset({key_of("milk")}), GoalSpec(key_of("whipped cream"))
+
+
+def test_validate_task_tree_accepts_executable_trees():
+    graph, kitchen, goal = _milk_to_whipped_cream()
+    validate_task_tree(graph, kitchen, goal, TaskTree((0, 1), SearchStats(Algorithm.IDS)))
+    validate_task_tree(graph, kitchen, GoalSpec(key_of("milk")), TaskTree((), SearchStats(Algorithm.IDS)))
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ((0, 0, 1), "task tree repeats a unit"),
+        ((1,), "step 1 needs cream which is not available"),
+        ((), "empty task tree but goal not in kitchen"),
+        ((0,), "final step does not produce the goal"),
+    ],
+)
+def test_validate_task_tree_rejects(steps, message):
+    graph, kitchen, goal = _milk_to_whipped_cream()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_task_tree(graph, kitchen, goal, TaskTree(steps, SearchStats(Algorithm.IDS)))

@@ -482,6 +482,24 @@ def test_motion_rate_non_numeric():
     assert err.value.line_no == 1
 
 
+def test_motion_rates_skip_comments_and_blank_lines():
+    assert parse_motion_rates("# success rates\n\n  \nwhip\t0.9\n  # pour\t0.1\n") == {"whip": 0.9}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("whip 0.9\n", "expected motion-name<TAB>rate"),
+        ("whip\t0.9\t0.1\n", "expected motion-name<TAB>rate"),
+        (" \t0.9\n", "empty motion name"),
+    ],
+)
+def test_motion_rate_line_shape_errors(text, message):
+    with pytest.raises(ParseError, match=f"^line 1: {message}$") as err:
+        parse_motion_rates(text)
+    assert err.value.line_no == 1
+
+
 def test_motion_rate_duplicate_overrides_with_warning():
     with pytest.warns(ParseWarning):
         table = parse_motion_rates("whip\t0.5\nwhip\t0.9\n")
@@ -510,6 +528,16 @@ def test_goal_bad_states_field():
     with pytest.raises(SchemaError) as err:
         parse_goal_nodes('[{"object":"x","states":"whipped"}]')
     assert err.value.field == "states"
+
+
+@pytest.mark.parametrize("parse", [parse_goal_nodes, parse_kitchen])
+def test_object_files_need_an_array_of_named_objects(parse):
+    with pytest.raises(SchemaError, match=r"^field '<root>': expected a JSON array$") as err:
+        parse('{"object": "cream"}')
+    assert err.value.field == "<root>"
+    with pytest.raises(SchemaError, match=r"^field 'object': must be a non-empty string in entry 0$") as err:
+        parse('[{"object": 1}]')
+    assert err.value.field == "object"
 
 
 def test_parse_kitchen():

@@ -148,6 +148,12 @@ def test_ids_depth_cap_exhausted(built_stats):
     assert stats.units_expanded == stats.candidate_evaluations == 0
 
 
+def test_ids_refuses_a_negative_depth_cap():
+    graph, kitchen, goal = milk_setup()
+    with pytest.raises(ValueError, match="^depth_cap must be >= 0$"):
+        retrieve_ids(graph, kitchen, goal, depth_cap=-1)
+
+
 def test_ids_backtracks_past_dead_end():
     graph = build_graph(
         [
@@ -566,6 +572,22 @@ def test_chain_bound_named_instances(built_stats, name):
     searched, skipped = built_stats
     # below the bound the search stops at its first cut; at the bound none runs
     assert searched.units_expanded == bound - 1
+    assert skipped.units_expanded == skipped.candidate_evaluations == 0
+
+
+def test_reuse_past_the_cap_ends_a_first_cut_search(built_stats):
+    # "a" resolves at level 1 under the goal, then "b" reuses it at level 2,
+    # where its height of 1 does not fit cap 2: the first cut is that reuse
+    graph = build_graph([(["k"], "m1", ["a"]), (["a", "b"], "m2", ["g"]), (["a", "x"], "m3", ["b"])])
+    kitchen, goal = frozenset({key_of("k")}), GoalSpec(key_of("g"))
+    assert goal.target not in derivation_depths(graph, kitchen)
+    assert foon.retrieval._chain_bounds(graph, kitchen)[goal.target] == 3
+    for cap, reason in ((2, "depth-cap-exhausted"), (3, "no-candidates")):
+        with pytest.raises(UnresolvableGoal) as err:
+            retrieve_ids(graph, kitchen, goal, depth_cap=cap)
+        assert err.value.reason == reason == _outcome(recursive_retrieve_ids, graph, kitchen, goal, cap)
+    searched, skipped = built_stats
+    assert (searched.units_expanded, searched.candidate_evaluations) == (3, 3)
     assert skipped.units_expanded == skipped.candidate_evaluations == 0
 
 
