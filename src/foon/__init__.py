@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "Algorithm", "Decision", "DuplicateUnit", "FoonError", "FoonGraph", "FunctionalUnit", "GoalSpec",
-        "MotionNode", "ObjectKey", "SearchStats", "TaskTree", "index_outputs", "validate_task_tree",
+        "ObjectKey", "SearchStats", "TaskTree", "index_outputs", "validate_task_tree",
     ),
     "export": ("to_dot", "write_task_tree"),
     "merge": ("MergeResult", "merge_subgraphs"),

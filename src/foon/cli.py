@@ -159,7 +159,7 @@ def _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle):
                 row.update(
                     units=len(tree.steps),
                     expanded=tree.stats.units_expanded,
-                    depth_bound=tree.stats.final_depth_bound if algo == "ids" else "",
+                    depth_bound=tree.stats.final_depth_bound,  # GBFS leaves it None, written empty
                     resolved="true",
                 )
             if with_oracle:

@@ -1,5 +1,5 @@
-"""Domain types for FOON graphs: objects, motions, functional units, and the
-indexed universal graph.
+"""Domain types for FOON graphs: objects, functional units, and the indexed
+universal graph.
 
 An object has one type, :class:`ObjectKey`, which canonicalizes its fields
 and is its own identity: a unit's ``inputs`` and ``outputs`` are tuples of
@@ -7,6 +7,7 @@ keys, and graph indexes and goals hold the same keys. A kitchen, the set of
 objects on hand before execution, is a plain ``frozenset`` of keys. Keys are
 interned under a lock, so there is one instance per distinct key in a
 process, and key equality and hashing are ``object``'s identity versions.
+A motion has no type either: a unit holds its name and timestamps.
 
 Everything here except :class:`SearchStats`, which a retrieval fills as it
 runs, is immutable after construction and hashable where identity matters,
@@ -14,9 +15,9 @@ so graphs and kitchens can be shared freely between concurrent retrievals.
 A graph also holds a private memo of what :mod:`foon.retrieval` derives from
 it, maps of keys and unit positions that never refer back to the graph.
 One guard, :class:`Frozen`, refuses every assignment and deletion, and
-constructors store their fields through ``_set``. The record types
-(motions, goals, decisions, stats, trees) are slotted classes that compare,
-hash, print and pickle by their field values.
+constructors store their fields through ``_set``. The record types (goals,
+decisions, stats, trees) are slotted classes that compare, hash, print and
+pickle by their field values.
 
 A graph derives its output index from its units and refuses duplicate units.
 A key's producers are ``graph.output_index.get(key, ())``: the positions of
@@ -165,60 +166,51 @@ class ObjectKey(Frozen):
         return parts
 
 
-class MotionNode(FrozenRecord):
-    """A named manipulation action with optional annotation timestamps.
-
-    Timestamps are carried through parsing and writing but never influence
-    unit equality or retrieval.
-    """
-
-    __slots__ = ("name", "start_time", "end_time")
-
-    def __init__(self, name: str, start_time: Optional[str] = None, end_time: Optional[str] = None):
-        name = name.strip().lower()
-        if not name:
-            raise ValueError("motion name must be non-empty")
-        if start_time is None:
-            # a lone timestamp is always the start
-            start_time, end_time = end_time, None
-        _set(self, "name", name)
-        _set(self, "start_time", start_time)
-        _set(self, "end_time", end_time)
-
-
 class FunctionalUnit(Frozen):
     """Input objects + one motion + output objects; the atom of FOON knowledge.
 
+    ``motion`` is the motion's name, trimmed and lowercased, and
+    ``start_time`` and ``end_time`` are its optional annotation timestamps
+    (a lone timestamp is the start), which parsing and writing carry through.
     Equality compares input/output key multisets and the motion name;
     timestamps are ignored. The hash is computed once, at construction.
     """
 
-    __slots__ = ("inputs", "motion", "outputs", "_hash")
+    __slots__ = ("inputs", "motion", "outputs", "start_time", "end_time", "_hash")
 
     def __init__(
         self,
         inputs: Sequence[ObjectKey],
-        motion: MotionNode,
+        motion: str,
         outputs: Sequence[ObjectKey],
+        start_time: Optional[str] = None,
+        end_time: Optional[str] = None,
     ):
         if not inputs:
             raise ValueError("functional unit needs at least one input")
         if not outputs:
             raise ValueError("functional unit needs at least one output")
+        motion = motion.strip().lower()
+        if not motion:
+            raise ValueError("motion name must be non-empty")
+        if start_time is None:
+            start_time, end_time = end_time, None
         _set(self, "inputs", tuple(inputs))
         _set(self, "motion", motion)
         _set(self, "outputs", tuple(outputs))
+        _set(self, "start_time", start_time)
+        _set(self, "end_time", end_time)
         # only the hash is kept: storing the sorted identity as well costs
         # memory on every unit, and it is needed only on a hash match
         _set(self, "_hash", hash(self._identity()))
 
     def __reduce__(self):
-        return (FunctionalUnit, (self.inputs, self.motion, self.outputs))
+        return (FunctionalUnit, (self.inputs, self.motion, self.outputs, self.start_time, self.end_time))
 
     def _identity(self) -> tuple:
         # keys are interned, so ordering them by id puts equal multisets in
         # one order
-        return (tuple(sorted(self.inputs, key=id)), self.motion.name, tuple(sorted(self.outputs, key=id)))
+        return (tuple(sorted(self.inputs, key=id)), self.motion, tuple(sorted(self.outputs, key=id)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctionalUnit):
@@ -231,7 +223,7 @@ class FunctionalUnit(Frozen):
     def __repr__(self) -> str:
         ins = ", ".join(str(k) for k in self.inputs)
         outs = ", ".join(str(k) for k in self.outputs)
-        return f"<FunctionalUnit [{ins}] -{self.motion.name}-> [{outs}]>"
+        return f"<FunctionalUnit [{ins}] -{self.motion}-> [{outs}]>"
 
 
 class FoonGraph(Frozen):

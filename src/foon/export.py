@@ -3,7 +3,8 @@
 DOT rendering follows the usual FOON styling: object nodes are ellipses
 (green for inputs, purple for outputs, blue when an object is both), motion
 nodes are red squares. Node identifiers are content-derived so regenerated
-figures diff cleanly.
+figures diff cleanly; keys whose labels print alike get ``_2``, ``_3`` and so
+on after the first, in sort order.
 """
 
 from __future__ import annotations
@@ -48,17 +49,20 @@ def to_dot(graph: FoonGraph, tree: Optional[TaskTree] = None) -> str:
 
     lines = ["digraph foon {"]
     ids: dict[ObjectKey, str] = {}
+    uses: dict[str, int] = {}  # how many keys took each hash id so far
     # by name, then states, then ingredients, compared in C
     for key in sorted(roles, key=operator.attrgetter("name", "states", "ingredients")):
-        label = str(key)
-        ids[key] = "obj_" + hashlib.sha1(label.encode("utf-8")).hexdigest()[:10]
+        label = str(key)  # two keys can print alike: "egg{boiled}" may be a name
+        node_id = "obj_" + hashlib.sha1(label.encode("utf-8")).hexdigest()[:10]
+        uses[node_id] = count = uses.get(node_id, 0) + 1
+        ids[key] = node_id if count == 1 else f"{node_id}_{count}"  # longer than any unsuffixed id
         color = _OBJECT_COLORS[roles[key]]
         lines.append(f"  {ids[key]} [label={_quote(label)} shape=ellipse color={color}];")
     for pos in positions:
         unit = graph.units[pos]
         motion_id = f"u{pos}_motion"
         lines.append(
-            f"  {motion_id} [label={_quote(unit.motion.name)} shape=square color={MOTION_COLOR}];"
+            f"  {motion_id} [label={_quote(unit.motion)} shape=square color={MOTION_COLOR}];"
         )
         for key in unit.inputs:
             lines.append(f"  {ids[key]} -> {motion_id};")

@@ -43,7 +43,6 @@ from .core import (
     FoonError,
     FunctionalUnit,
     GoalSpec,
-    MotionNode,
     ObjectKey,
 )
 
@@ -185,8 +184,9 @@ def _parse_blocks(text: str, blocks: dict) -> list[FunctionalUnit]:
         units.append(
             FunctionalUnit(
                 [get(block) or _block_key(block, blocks, canon) for block in inputs[2:].split("\nO\t")],
-                MotionNode(*fields),
+                fields[0],
                 [get(block) or _block_key(block, blocks, canon) for block in outputs[2:].split("\nO\t")],
+                *fields[1:],
             )
         )
     return units
@@ -234,9 +234,8 @@ def write_subgraph(units: Sequence[FunctionalUnit]) -> str:
                 _refuse_breaks(pos, fields)
                 tags = "O" + "S" * len(key.states) + "I" * len(key.ingredients)
                 objects[key] = "".join(f"{tag}\t{field}\n" for tag, field in zip(tags, fields))
-        motion = unit.motion
-        # MotionNode never has an end time without a start time
-        motion_fields = [motion.name, *(t for t in (motion.start_time, motion.end_time) if t is not None)]
+        # a unit never has an end time without a start time
+        motion_fields = [unit.motion, *(t for t in (unit.start_time, unit.end_time) if t is not None)]
         _refuse_breaks(pos, motion_fields)
         chunks += [objects[key] for key in unit.inputs]
         chunks.append("\t".join(["M", *motion_fields]) + "\n")

@@ -491,7 +491,7 @@ def retrieve_gbfs(
                     counts[pos] = float(heuristic_input_count(units[pos]))
             scores = [counts[pos] for pos in alive]
         else:
-            scores = [rates.get(units[pos].motion.name, 0.0) for pos in alive]
+            scores = [rates.get(units[pos].motion, 0.0) for pos in alive]
         stats.candidate_evaluations += len(alive)
         while alive:
             # min and max return the first best score, and `alive` ascends, so

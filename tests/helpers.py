@@ -20,7 +20,6 @@ from foon.core import (
     FoonGraph,
     FunctionalUnit,
     GoalSpec,
-    MotionNode,
     ObjectKey,
     SearchStats,
     TaskTree,
@@ -49,7 +48,7 @@ def unit(inputs, motion, outputs, ts=None):
     nodes_in = [o if isinstance(o, ObjectKey) else obj(o) for o in inputs]
     nodes_out = [o if isinstance(o, ObjectKey) else obj(o) for o in outputs]
     start, end = (ts or (None, None))
-    return FunctionalUnit(nodes_in, MotionNode(motion, start, end), nodes_out)
+    return FunctionalUnit(nodes_in, motion, nodes_out, start, end)
 
 
 def build_graph(unit_specs):
@@ -235,7 +234,7 @@ def reference_parse_subgraph(text: str) -> list[FunctionalUnit]:
     # per-unit parse state
     inputs: list[ObjectKey] = []
     outputs: list[ObjectKey] = []
-    motion: MotionNode | None = None
+    motion: tuple[str, ...] | None = None  # the M line's name and timestamps
     name: str | None = None  # the open object, with its states and ingredients
     states: list[str] = []
     ingredients: list[str] = []
@@ -257,7 +256,7 @@ def reference_parse_subgraph(text: str) -> list[FunctionalUnit]:
             raise ParseError(line_no, "unit has no input objects")
         if not outputs:
             raise ParseError(line_no, "unit has no output objects")
-        units.append(FunctionalUnit(inputs, motion, outputs))
+        units.append(FunctionalUnit(inputs, motion[0], outputs, *motion[1:]))
         inputs, outputs, motion, unit_open = [], [], None, False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -298,9 +297,7 @@ def reference_parse_subgraph(text: str) -> list[FunctionalUnit]:
             close_object()
             if not inputs:
                 raise ParseError(line_no, "unit has no input objects")
-            start = fields[2] if len(fields) > 2 else None
-            end = fields[3] if len(fields) > 3 else None
-            motion = MotionNode(fields[1], start, end)
+            motion = tuple(fields[1:])
         else:
             raise ParseError(line_no, f"unknown line tag {tag!r}")
 
@@ -434,7 +431,7 @@ def recursive_retrieve_gbfs(
         stats.candidate_evaluations += 1
         if minimize:
             return float(heuristic_input_count(unit))
-        return rates.get(unit.motion.name, 0.0)  # an unknown motion never beats a known rate
+        return rates.get(unit.motion, 0.0)  # an unknown motion never beats a known rate
 
     def resolve(key: ObjectKey, path: frozenset) -> bool:
         if key in kitchen:

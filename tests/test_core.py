@@ -19,7 +19,6 @@ from foon.core import (
     FrozenRecord,
     FunctionalUnit,
     GoalSpec,
-    MotionNode,
     ObjectKey,
     SearchStats,
     TaskTree,
@@ -64,9 +63,9 @@ def test_states_deduplicated_and_sorted():
 
 
 def test_lone_timestamp_is_start():
-    motion = MotionNode("whip", None, "3:20")
-    assert motion.start_time == "3:20"
-    assert motion.end_time is None
+    whip = FunctionalUnit([obj("cream")], "whip", [obj("whipped cream")], None, "3:20")
+    assert whip.start_time == "3:20"
+    assert whip.end_time is None
 
 
 def test_unit_needs_inputs_and_outputs():
@@ -214,7 +213,7 @@ def test_whipped_cream_produced_only_by_whip(corpus_graph):
     candidates = corpus_graph.output_index.get(goal, ())
     assert tuple(brute) == candidates
     assert len(candidates) == 1
-    assert corpus_graph.units[candidates[0]].motion.name == "whip"
+    assert corpus_graph.units[candidates[0]].motion == "whip"
 
 
 # --- interning and pickling ---------------------------------------------
@@ -265,10 +264,10 @@ def test_units_compare_and_hash_without_key_comparisons(monkeypatch):
     assert twice.graph.units == once.graph.units
     to_dot(twice.graph)
     a, b, c = obj("a"), obj("b"), obj("c")
-    first = FunctionalUnit([a, b, a], MotionNode("mix"), [c])
-    second = FunctionalUnit([b, a, a], MotionNode("mix"), [c])
+    first = FunctionalUnit([a, b, a], "mix", [c])
+    second = FunctionalUnit([b, a, a], "mix", [c])
     assert first == second and hash(first) == hash(second)
-    assert first != FunctionalUnit([a, b, b], MotionNode("mix"), [c])
+    assert first != FunctionalUnit([a, b, b], "mix", [c])
 
 
 def test_keys_do_not_order():
@@ -297,6 +296,7 @@ def test_graph_round_trips_through_pickle_and_deepcopy(corpus_graph):
         assert copied.output_index == corpus_graph.output_index
         for original, unit_copy in zip(corpus_graph.units, copied.units):
             assert unit_copy.motion == original.motion
+            assert (unit_copy.start_time, unit_copy.end_time) == (original.start_time, original.end_time)
             assert all(a is b for a, b in zip(unit_copy.inputs, original.inputs))
             assert all(a is b for a, b in zip(unit_copy.outputs, original.outputs))
         for key in copied.output_index:
@@ -315,8 +315,7 @@ def test_units_and_graphs_refuse_deletion():
     whip = unit(["cream"], "whip", ["whipped cream"])
     graph = index_outputs([whip])
     stats = SearchStats(Algorithm.IDS)
-    records = [whip.motion, GoalSpec(key), Decision(key, (0,), 0, (1.0,)), TaskTree((0,), stats),
-               MergeResult(graph, 1, 0)]
+    records = [GoalSpec(key), Decision(key, (0,), 0, (1.0,)), TaskTree((0,), stats), MergeResult(graph, 1, 0)]
     assert {type(record) for record in records} == set(FrozenRecord.__subclasses__())
     for target in (key, whip, graph, *records):
         before = {field: getattr(target, field) for field in type(target).__slots__ if field != "__weakref__"}
@@ -336,14 +335,16 @@ def test_units_and_graphs_refuse_deletion():
 
 def test_record_types_keep_their_value_semantics():
     key = key_of("cream", ["whipped"])
-    motion = MotionNode("  Whip ", None, "3:20")  # canonicalised; a lone timestamp is the start
+    cream_in = [key_of("cream")]
+    whip = FunctionalUnit(cream_in, "  Whip ", [key], None, "3:20")  # canonicalised; a lone timestamp is the start
     decision = Decision(key, (1, 4), 4, (2.0, 1.0))
     stats = SearchStats(Algorithm.GBFS_H2, 3, 5, None, [decision])
     tree = TaskTree((1, 4), stats)
     graph = index_outputs([])
     merged = MergeResult(graph, 0, 2)
     cream = "ObjectKey('cream', states=['whipped'], ingredients=[])"
-    assert repr(motion) == "MotionNode(name='whip', start_time='3:20', end_time=None)"
+    assert (whip.motion, whip.start_time, whip.end_time) == ("whip", "3:20", None)
+    assert repr(whip) == "<FunctionalUnit [cream] -whip-> [cream{whipped}]>"
     assert repr(GoalSpec(key)) == f"GoalSpec(target={cream})"
     assert repr(decision) == f"Decision(needed={cream}, candidates=(1, 4), chosen=4, scores=(2.0, 1.0))"
     stats_repr = (
@@ -354,9 +355,9 @@ def test_record_types_keep_their_value_semantics():
     assert repr(tree) == f"TaskTree(steps=(1, 4), stats={stats_repr})"
     assert repr(merged) == f"MergeResult(graph={graph!r}, kept=0, dropped=2)"
 
-    hashable = [motion, GoalSpec(key), decision, merged]
+    hashable = [whip, GoalSpec(key), decision, merged]
     twins = [
-        MotionNode(name="whip", start_time="3:20"),
+        FunctionalUnit(inputs=cream_in, motion="whip", outputs=[key], start_time="3:20"),
         GoalSpec(target=key),
         Decision(needed=key, candidates=(1, 4), chosen=4, scores=(2.0, 1.0)),
         MergeResult(graph, 0, 2),
@@ -364,7 +365,7 @@ def test_record_types_keep_their_value_semantics():
     for record, twin in zip(hashable, twins):
         assert record == twin and hash(record) == hash(twin) and record is not twin
         assert record != (record,)
-    assert motion != MotionNode("whip", "3:20", "3:30") and motion != MotionNode("beat", "3:20")
+    assert whip != FunctionalUnit(cream_in, "beat", [key], "3:20")
     assert decision != Decision(key, (1, 4), 1, (2.0, 1.0))
     assert stats == SearchStats(Algorithm.GBFS_H2, 3, 5, None, [decision])
     assert stats != SearchStats(Algorithm.GBFS_H2, 3, 5)
@@ -374,14 +375,20 @@ def test_record_types_keep_their_value_semantics():
         with pytest.raises(TypeError):
             hash(unhashable)
 
-    for record in [motion, GoalSpec(key), decision, stats, tree]:
+    for record in [whip, GoalSpec(key), decision, stats, tree]:
         for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
             assert copied == record and type(copied) is type(record)
+    with_end = FunctionalUnit(cream_in, "whip", [key], "1:00", "2:00")
+    assert (with_end.start_time, with_end.end_time) == ("1:00", "2:00")
+    for original in (whip, with_end):  # unit equality ignores timestamps, so compare them apart
+        fields = (original.motion, original.start_time, original.end_time)
+        for copied in (pickle.loads(pickle.dumps(original)), copy.copy(original), copy.deepcopy(original)):
+            assert (copied.motion, copied.start_time, copied.end_time) == fields
     merged_copy = pickle.loads(pickle.dumps(merged))
     assert (merged_copy.graph.units, merged_copy.kept, merged_copy.dropped) == ((), 0, 2)
 
     for record, field in [
-        (motion, "name"),
+        (whip, "motion"),
         (GoalSpec(key), "target"),
         (decision, "chosen"),
         (tree, "steps"),
@@ -400,9 +407,8 @@ def test_record_types_keep_their_value_semantics():
     )
     assert fresh.decision_log is not SearchStats(Algorithm.IDS).decision_log
 
-    assert MotionNode("whip", "1:00", "2:00").end_time == "2:00"
     with pytest.raises(ValueError, match="motion name must be non-empty"):
-        MotionNode("  ")
+        FunctionalUnit(cream_in, "  ", [key])
     with pytest.raises(ValueError, match="chosen unit must be among the candidates"):
         Decision(key, (1, 4), 2, (2.0, 1.0))
     with pytest.raises(ValueError, match="one score per candidate"):

@@ -63,7 +63,7 @@ def test_first_occurrence_wins():
     bare = unit(["cream"], "whip", ["whipped cream"])
     result = merge_subgraphs([[timestamped], [bare]])
     assert result.kept == 1
-    assert result.graph.units[0].motion.start_time == "1:00"
+    assert result.graph.units[0].start_time == "1:00"
 
 
 def test_merge_takes_any_iterable_of_unit_sequences(corpus_subgraphs):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foon.parser
-from foon.core import FunctionalUnit, MotionNode, ObjectKey
+from foon.core import FunctionalUnit, ObjectKey
 from foon.data import corpus_file, subgraph_paths
 from foon.parser import (
     ParseError,
@@ -36,9 +36,9 @@ def test_parse_one_unit():
     (u,) = units
     assert u.inputs == (key_of("cream", ["raw"]),)
     assert u.outputs == (key_of("cream", ["whipped"]),)
-    assert u.motion.name == "whip"
-    assert u.motion.start_time == "3:05"
-    assert u.motion.end_time == "3:20"
+    assert u.motion == "whip"
+    assert u.start_time == "3:05"
+    assert u.end_time == "3:20"
     # cross-check by round-trip
     assert write_subgraph(units) == ONE_UNIT
 
@@ -142,8 +142,10 @@ def _random_units(rng, max_units=6):
     return [
         FunctionalUnit(
             rng.choices(objects, k=rng.randint(1, 3)),
-            MotionNode(_random_field(rng), rng.choice(TIMESTAMPS), rng.choice(TIMESTAMPS)),
-            rng.choices(objects, k=rng.randint(1, 3)),
+            _random_field(rng),
+            start_time=rng.choice(TIMESTAMPS),
+            end_time=rng.choice(TIMESTAMPS),
+            outputs=rng.choices(objects, k=rng.randint(1, 3)),
         )
         for _ in range(rng.randint(1, max_units))
     ]
@@ -169,10 +171,14 @@ def _token_soup(rng):
     return rng.choice(("\n", "\r\n")).join(lines)
 
 
+def _fields(u):
+    return (u.inputs, u.motion, u.start_time, u.end_time, u.outputs)
+
+
 def _outcome(parse, text):
-    # motion compared whole: unit equality ignores its timestamps
+    # timestamps compared too: unit equality ignores them
     try:
-        return [(u.inputs, u.motion, u.outputs) for u in parse(text)]
+        return [_fields(u) for u in parse(text)]
     except ParseError as exc:
         return exc.line_no, str(exc)
 
@@ -298,7 +304,7 @@ def test_a_shared_memo_gives_what_separate_parses_give():
     separate = [parse_subgraph(text) for text in texts]
     assert blocks
     for one, other in zip(shared, separate):
-        assert [(u.inputs, u.motion, u.outputs) for u in one] == [(u.inputs, u.motion, u.outputs) for u in other]
+        assert [_fields(u) for u in one] == [_fields(u) for u in other]
         for unit, twin in zip(one, other):
             assert all(a is b for a, b in zip(unit.inputs + unit.outputs, twin.inputs + twin.outputs))
 
@@ -312,7 +318,7 @@ def test_irregular_text_shares_the_memo(path):
     assert entries
     regular = parse_subgraph(text, blocks=blocks)
     assert list(blocks.items()) == entries  # keys compare by identity
-    assert [(u.inputs, u.motion, u.outputs) for u in irregular] == [(u.inputs, u.motion, u.outputs) for u in regular]
+    assert [_fields(u) for u in irregular] == [_fields(u) for u in regular]
 
 
 def test_other_breaks_are_every_line_break_but_newline():
@@ -406,11 +412,13 @@ def object_nodes(draw):
 def functional_units(draw):
     start = draw(timestamps)
     end = draw(timestamps) if start is not None else None
-    motion = MotionNode(draw(st.sampled_from(["whip", "pour", "cut", "mix"])), start, end)
+    motion = draw(st.sampled_from(["whip", "pour", "cut", "mix"]))
     return FunctionalUnit(
         draw(st.lists(object_nodes(), min_size=1, max_size=3)),
         motion,
         draw(st.lists(object_nodes(), min_size=1, max_size=3)),
+        start,
+        end,
     )
 
 
@@ -427,32 +435,32 @@ CREAM = ObjectKey("cream")
 
 
 @pytest.mark.parametrize(
-    "inputs, motion, outputs",
+    "inputs, motion, outputs, times",
     [
-        pytest.param([ObjectKey("a\x85b")], MotionNode("mix"), [CREAM], id="name-nel"),
-        pytest.param([ObjectKey("a\u2028b")], MotionNode("mix"), [CREAM], id="name-line-separator"),
-        pytest.param([ObjectKey("a\tb")], MotionNode("mix"), [CREAM], id="name-tab"),
-        pytest.param([CREAM], MotionNode("mix"), [ObjectKey("c", ["raw\rcut"])], id="output-state-cr"),
-        pytest.param([CREAM], MotionNode("mix"), [ObjectKey("c", [], ["x\x0cy"])], id="ingredient-form-feed"),
-        pytest.param([CREAM], MotionNode("mi\x0bx"), [CREAM], id="motion-vertical-tab"),
-        pytest.param([CREAM], MotionNode("mix", "1\n"), [CREAM], id="start-newline"),
-        pytest.param([CREAM], MotionNode("mix", "1", "2\x1e"), [CREAM], id="end-record-separator"),
-        pytest.param([CREAM], MotionNode("mix", "1\t2"), [CREAM], id="start-tab"),
+        pytest.param([ObjectKey("a\x85b")], "mix", [CREAM], (), id="name-nel"),
+        pytest.param([ObjectKey("a\u2028b")], "mix", [CREAM], (), id="name-line-separator"),
+        pytest.param([ObjectKey("a\tb")], "mix", [CREAM], (), id="name-tab"),
+        pytest.param([CREAM], "mix", [ObjectKey("c", ["raw\rcut"])], (), id="output-state-cr"),
+        pytest.param([CREAM], "mix", [ObjectKey("c", [], ["x\x0cy"])], (), id="ingredient-form-feed"),
+        pytest.param([CREAM], "mi\x0bx", [CREAM], (), id="motion-vertical-tab"),
+        pytest.param([CREAM], "mix", [CREAM], ("1\n",), id="start-newline"),
+        pytest.param([CREAM], "mix", [CREAM], ("1", "2\x1e"), id="end-record-separator"),
+        pytest.param([CREAM], "mix", [CREAM], ("1\t2",), id="start-tab"),
     ],
 )
-def test_write_subgraph_refuses_fields_it_cannot_write_back(inputs, motion, outputs):
-    good = FunctionalUnit([CREAM], MotionNode("whip"), [CREAM])
+def test_write_subgraph_refuses_fields_it_cannot_write_back(inputs, motion, outputs, times):
+    good = FunctionalUnit([CREAM], "whip", [CREAM])
     with pytest.raises(ValueError, match=r"^unit 1: field .* holds a tab or line break$"):
-        write_subgraph([good, FunctionalUnit(inputs, motion, outputs)])
+        write_subgraph([good, FunctionalUnit(inputs, motion, outputs, *times)])
 
 
 def test_write_subgraph_keeps_other_control_characters():
     # \x1f and an empty timestamp are no line break, so they round-trip
-    unit = FunctionalUnit([ObjectKey("a\x1fb")], MotionNode("mix", ""), [CREAM])
+    unit = FunctionalUnit([ObjectKey("a\x1fb")], "mix", [CREAM], "")
     text = write_subgraph([unit])
     (reparsed,) = parse_subgraph(text)
     assert reparsed == unit
-    assert reparsed.motion.start_time == ""
+    assert reparsed.start_time == ""
     assert write_subgraph([reparsed]) == text
 
 

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import foon.retrieval
+import helpers
 from foon.cli import main as cli_main
 from foon.core import Algorithm, GoalSpec, SearchStats, index_outputs, validate_task_tree
 from foon.data import corpus_file
@@ -395,7 +396,7 @@ def test_derivation_depths_match_the_oracle():
 
 
 NAMED_INSTANCES = {
-    # ROADMAP open item 2: depth 4 through unit 4, while IDS returns bound 5
+    # ROADMAP open item 1: depth 4 through unit 4, while IDS returns bound 5
     "reuse-too-deep": (
         [
             (["obj4", "obj2"], "m0", ["obj0"]),
@@ -451,6 +452,32 @@ def test_derivation_depths_named_instances(name):
     goal = GoalSpec(key_of(goal_name))
     assert derivation_depths(graph, kitchen).get(goal.target) == depth
     assert _oracle_depth(graph, kitchen, goal) == depth
+
+
+def test_ids_fails_a_derivable_goal_that_no_bound_up_to_the_cap_resolves(built_stats, monkeypatch):
+    # the goal derives at depth 4, but IDS first resolves it at bound 5
+    # (ROADMAP open item 1), so cap 4 tries every bound and falls through to
+    # depth-cap-exhausted; mending item 1 makes cap 4 resolve
+    specs, stocked, goal_name, depth = NAMED_INSTANCES["reuse-too-deep"]
+    graph = build_graph(specs)
+    kitchen = frozenset(key_of(n) for n in stocked)
+    goal = GoalSpec(key_of(goal_name))
+    reference_stats = []
+
+    def recording(*args, **kwargs):
+        reference_stats.append(SearchStats(*args, **kwargs))
+        return reference_stats[-1]
+
+    monkeypatch.setattr(helpers, "SearchStats", recording)
+    for retrieve, built in ((retrieve_ids, built_stats), (recursive_retrieve_ids, reference_stats)):
+        with pytest.raises(UnresolvableGoal) as err:
+            retrieve(graph, kitchen, goal, depth_cap=depth)
+        assert err.value.reason == "depth-cap-exhausted"
+        assert (built[-1].units_expanded, built[-1].candidate_evaluations) == (17, 17)
+        stats = retrieve(graph, kitchen, goal, depth_cap=depth + 1).stats
+        assert (stats.final_depth_bound, stats.units_expanded, stats.candidate_evaluations) == (5, 22, 22)
+    args = (graph, kitchen, goal, depth + 1)
+    assert _outcome(retrieve_ids, *args) == _outcome(recursive_retrieve_ids, *args)
 
 
 def test_derivation_depths_are_read_only():

@@ -102,3 +102,54 @@ def test_layers_import_only_the_layers_below():
         for path in sorted(PACKAGE.glob("*.py"))
         if (found := module_level_imports(path.read_text(encoding="utf-8")) & {"dataclasses", "hashlib"})
     } == {}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports at module level and never reads, with
+    annotations, quoted ones too, counting as reads; a ``__future__``
+    import binds no name."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.AnnAssign, ast.arg)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    quoted = [
+        ast.parse(part.value, mode="eval")
+        for annotation in annotations
+        if annotation is not None
+        for part in ast.walk(annotation)
+        if isinstance(part, ast.Constant) and isinstance(part.value, str)
+    ]
+    read = {
+        node.id
+        for root in (tree, *quoted)
+        for node in ast.walk(root)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_scan_finds_unused_imports():
+    source = (
+        "from __future__ import annotations\nimport json, os.path\nimport re as regex\n"
+        "from typing import Mapping, Optional\nfrom .core import FoonGraph, ObjectKey, TaskTree\n"
+        "def tree(graph: Mapping[str, 'FoonGraph']) -> list['ObjectKey']:\n"
+        "    import hashlib\n    TaskTree = None\n    return os.sep\n"
+    )
+    assert unused_imports(source) == ["json (line 2)", "regex (line 3)", "Optional (line 4)", "TaskTree (line 5)"]
+
+
+def test_no_module_keeps_an_unused_import():
+    assert {
+        path.name: unused
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (unused := unused_imports(path.read_text(encoding="utf-8")))
+    } == {}
