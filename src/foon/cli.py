@@ -3,12 +3,12 @@ algorithms, and render DOT figures.
 
 Exit codes: 0 on success, 1 when one or more goals could not be resolved,
 2 on a usage error or a failure to read, parse or write anything, stdout
-included (``--help`` too), and also when stderr cannot take the error
-message. Commands return 0 or 1; :func:`main` alone turns errors into 2.
-Option values beat environment variables (``FOON_DEPTH_CAP``,
-``FOON_MOTION_RATES``; an empty one counts as unset), which beat defaults.
-The parser is the standard library's ``argparse``, so the package has no
-runtime dependency.
+included (``--help`` too, and a label stdout cannot encode), and also when
+stderr cannot take the error message. Commands return 0 or 1; :func:`main`
+alone turns errors into 2. Option values beat environment variables
+(``FOON_DEPTH_CAP``, ``FOON_MOTION_RATES``; an empty one counts as unset),
+which beat defaults. The parser is the standard library's ``argparse``, so
+the package has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def main(args=None, prog_name: str = "foon"):
         options = _parse_args(prog_name, args)
         code = options.pop("run")(**options)
         sys.stdout.flush()
-    except (FoonError, OSError) as exc:  # from any command, stdout and stderr writes included
+    except (FoonError, OSError, UnicodeEncodeError) as exc:  # from any command, stdout and stderr writes included
         _flush_or_drop(sys.stdout)  # what stdout holds goes before the message
         try:
             sys.stderr.write(f"Error: {exc}\n")

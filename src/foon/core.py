@@ -265,12 +265,6 @@ class FoonGraph(Frozen):
         return len(self.units)
 
 
-def index_outputs(units: Sequence[FunctionalUnit]) -> FoonGraph:
-    """The :class:`FoonGraph` of ``units``, which must hold no two equal
-    units; see the class."""
-    return FoonGraph(units)
-
-
 class GoalSpec(FrozenRecord):
     """A retrieval target, canonicalized like any other object."""
 
@@ -337,15 +331,17 @@ def validate_task_tree(
 ) -> None:
     """Independent executability check; raises ValueError on any violation.
 
-    Replays the steps in order, confirming that every input of every step is
-    either in the kitchen or produced by an earlier step, that no step
-    repeats, and that the goal comes out of the final step (or was already in
-    the kitchen for an empty tree).
+    Replays the steps in order, confirming that every step is a position in
+    ``graph.units`` and none repeats, that every input of every step is in
+    the kitchen or produced by an earlier step, and that the goal comes out
+    of the final step (or was already in the kitchen for an empty tree).
     """
     if len(set(tree.steps)) != len(tree.steps):
         raise ValueError("task tree repeats a unit")
     available = set(kitchen)
     for pos in tree.steps:
+        if not 0 <= pos < len(graph.units):
+            raise ValueError(f"step {pos} is not a unit of the graph")
         unit = graph.units[pos]
         for key in unit.inputs:
             if key not in available:

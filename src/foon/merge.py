@@ -1,11 +1,13 @@
-"""Merging recipe subgraphs into a deduplicated universal FOON."""
+"""Merging recipe subgraphs into a universal FOON, built through ``index_outputs``, which the benchmark wraps."""
 
 from __future__ import annotations
 
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .core import FoonGraph, FrozenRecord, FunctionalUnit, _set, index_outputs
+from .core import FoonGraph, FrozenRecord, FunctionalUnit, _set
+
+index_outputs = FoonGraph  # the traced benchmark (perfbench/child.py) wraps this name; ROADMAP item 12 deletes it
 
 
 class MergeResult(FrozenRecord):

@@ -23,7 +23,6 @@ from foon.core import (
     ObjectKey,
     SearchStats,
     TaskTree,
-    index_outputs,
 )
 from foon.parser import ParseError
 from foon.retrieval import (
@@ -53,7 +52,7 @@ def unit(inputs, motion, outputs, ts=None):
 
 def build_graph(unit_specs):
     """unit_specs: list of (inputs, motion, outputs) with bare names allowed."""
-    return index_outputs([unit(i, m, o) for i, m, o in unit_specs])
+    return FoonGraph([unit(i, m, o) for i, m, o in unit_specs])
 
 
 def chain_graph(depth, with_decoys=True):
@@ -117,7 +116,7 @@ def random_instance(rng: random.Random, max_units=12, max_branching=3, max_ingre
             if u not in seen:
                 seen.add(u)
                 units.append(u)
-    graph = index_outputs(units)
+    graph = FoonGraph(units)
     kitchen = frozenset({keys[n] for n in names if rng.random() < 0.35})
     goal = GoalSpec(keys[names[0]])
     rates = {m: round(rng.random(), 2) for m in motions if rng.random() < 0.8}

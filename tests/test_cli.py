@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -460,22 +461,82 @@ def test_output_byte_identical_across_hash_seeds(universal, corpus_paths, tmp_pa
     assert outputs[0] == outputs[1]
 
 
-def test_readme_cli_block_runs_as_processes(corpus_paths, tmp_path):
+def _readme_block(corpus_paths, tmp_path):
+    """The arguments of the README's corpus commands, in order, writing under
+    ``tmp_path``."""
     universal = str(tmp_path / "universal.foon.txt")
     inputs = [universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
     rates = ["--motion-rates", corpus_paths["motion.txt"]]
-    for args in (
+    return [
         ["merge", corpus_paths["whipped_cream"], corpus_paths["greek_salad"], corpus_paths["ice"], "-o", universal],
         ["retrieve", *inputs, "--algo", "gbfs1", *rates, "--out-dir", str(tmp_path / "out")],
         ["compare", *inputs, *rates, "--with-oracle", "--format", "csv"],
         ["viz", universal, "-o", str(tmp_path / "universal.dot")],
-    ):
+    ]
+
+
+def test_readme_cli_block_runs_as_processes(corpus_paths, tmp_path):
+    for args in _readme_block(corpus_paths, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "foon.cli", *args], env=_fresh_env(), capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, (args[0], result.stderr)
         # development mode shows a leaked descriptor only on stderr
         assert result.stderr == "", args[0]
+
+
+def _benchmark_patches():
+    """The ``(module, attribute)`` pairs of ``PATCHES`` in the benchmark's
+    ``perfbench/child.py``, the names its traced runs wrap."""
+    path = Path(__file__).parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return [(module, attribute) for module, attribute, *_ in child.PATCHES]
+
+
+def test_every_name_the_benchmark_wraps_is_called(runner, corpus_paths, tmp_path, monkeypatch):
+    # the benchmark times and counts a layer by replacing the module global
+    # the program calls it through; a call that bypasses the name reads 0
+    # there and fails no other check
+    hooks = [*_benchmark_patches(), ("foon.cli", "retrieve_ids"), ("foon.cli", "retrieve_gbfs"),
+             ("foon.retrieval", "SearchStats")]
+    calls = dict.fromkeys(hooks, 0)
+
+    def counting(hook, fn):
+        def wrapper(*args, **kwargs):
+            calls[hook] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, attribute in calls:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attribute, counting((module_name, attribute), getattr(module, attribute)))
+    for args in _readme_block(corpus_paths, tmp_path):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args[0], result.output)
+    assert [hook for hook, n in calls.items() if n == 0] == []
+    retrievals = calls["foon.cli", "retrieve_ids"] + calls["foon.cli", "retrieve_gbfs"]
+    assert calls["foon.retrieval", "SearchStats"] == retrievals == 12  # one per retrieval
+    assert foon.cli.main.main is foon.cli.main  # the name the benchmark runs a command through
+
+
+def test_labels_stdout_cannot_encode_exit_2(universal, corpus_paths, tmp_path):
+    goals = tmp_path / "creme.json"
+    goals.write_text(json.dumps([{"object": "crème", "states": ["whipped"]}]), encoding="utf-8")
+    inputs = [universal, corpus_paths["kitchen.json"], str(goals)]
+    for args in (
+        ["retrieve", *inputs, "--algo", "ids", "--out-dir", str(tmp_path / "trees")],
+        ["compare", *inputs, "--format", "csv"],
+        ["merge", corpus_paths["ice"], "-o", str(tmp_path / "crème.txt")],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "foon.cli", *args], env=_fresh_env(PYTHONIOENCODING="ascii"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2, (args[0], result.stderr)
+        [line] = result.stderr.splitlines()
+        assert line.startswith("Error: ") and "Traceback" not in result.stderr
 
 
 def test_parse_warnings_made_errors_exit_2(universal, corpus_paths, tmp_path):

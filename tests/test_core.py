@@ -22,7 +22,6 @@ from foon.core import (
     ObjectKey,
     SearchStats,
     TaskTree,
-    index_outputs,
     validate_task_tree,
 )
 from foon.data import subgraph_paths
@@ -110,7 +109,7 @@ def test_key_permutation_invariance(states, ingredients, seed):
 
 
 def test_index_empty():
-    graph = index_outputs([])
+    graph = FoonGraph([])
     assert len(graph) == 0
     assert graph.output_index == {}
 
@@ -133,12 +132,11 @@ def test_index_two_producers_ascending():
 def test_index_rejects_duplicates():
     u = unit(["milk"], "pour", ["cream"])
     v, w = unit(["egg"], "beat", ["batter"]), unit(["ice"], "melt", ["water"])
-    for build in (index_outputs, FoonGraph):  # the constructor itself refuses them
-        with pytest.raises(DuplicateUnit):
-            build([u, u])
-        # the error names the first unit that repeats an earlier one
-        with pytest.raises(DuplicateUnit, match=r"^unit 3 duplicates an earlier unit: <FunctionalUnit \[egg\]"):
-            build([v, u, w, v, u, w])
+    with pytest.raises(DuplicateUnit):
+        FoonGraph([u, u])
+    # the error names the first unit that repeats an earlier one
+    with pytest.raises(DuplicateUnit, match=r"^unit 3 duplicates an earlier unit: <FunctionalUnit \[egg\]"):
+        FoonGraph([v, u, w, v, u, w])
 
 
 def reference_index(units):
@@ -157,7 +155,6 @@ def test_graph_derives_its_index_from_its_units(corpus_graph):
         graph = FoonGraph(units)
         assert graph.output_index == reference_index(units)
         assert all(type(positions) is tuple for positions in graph.output_index.values())
-        assert index_outputs(units).output_index == graph.output_index
 
 
 def test_graph_is_built_from_its_units_alone(corpus_graph):
@@ -171,12 +168,12 @@ def test_graph_is_built_from_its_units_alone(corpus_graph):
         FoonGraph(corpus_graph.units, corpus_graph.output_index)
 
 
-def test_find_candidates_absent_key():
+def test_index_absent_key():
     graph = build_graph([(["milk"], "pour", ["cream"])])
     assert graph.output_index.get(key_of("gold"), ()) == ()
 
 
-def test_find_candidates_sparse_positions():
+def test_index_sparse_positions():
     specs = [
         (["a"], "m", ["b"]),
         (["c"], "m", ["d"]),
@@ -313,7 +310,7 @@ def _hash_or_none(value):
 def test_units_and_graphs_refuse_deletion():
     key = key_of("cream", ["whipped"])
     whip = unit(["cream"], "whip", ["whipped cream"])
-    graph = index_outputs([whip])
+    graph = FoonGraph([whip])
     stats = SearchStats(Algorithm.IDS)
     records = [GoalSpec(key), Decision(key, (0,), 0, (1.0,)), TaskTree((0,), stats), MergeResult(graph, 1, 0)]
     assert {type(record) for record in records} == set(FrozenRecord.__subclasses__())
@@ -340,7 +337,7 @@ def test_record_types_keep_their_value_semantics():
     decision = Decision(key, (1, 4), 4, (2.0, 1.0))
     stats = SearchStats(Algorithm.GBFS_H2, 3, 5, None, [decision])
     tree = TaskTree((1, 4), stats)
-    graph = index_outputs([])
+    graph = FoonGraph([])
     merged = MergeResult(graph, 0, 2)
     cream = "ObjectKey('cream', states=['whipped'], ingredients=[])"
     assert (whip.motion, whip.start_time, whip.end_time) == ("whip", "3:20", None)
@@ -495,6 +492,8 @@ def test_validate_task_tree_accepts_executable_trees():
         ((1,), "step 1 needs cream which is not available"),
         ((), "empty task tree but goal not in kitchen"),
         ((0,), "final step does not produce the goal"),
+        ((0, -1), "step -1 is not a unit of the graph"),  # not read as the last unit
+        ((0, 2), "step 2 is not a unit of the graph"),
     ],
 )
 def test_validate_task_tree_rejects(steps, message):

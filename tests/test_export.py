@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foon.core import Algorithm, GoalSpec, SearchStats, TaskTree, index_outputs
+from foon.core import Algorithm, FoonGraph, GoalSpec, SearchStats, TaskTree
 from foon.export import write_task_tree, to_dot
 from foon.merge import merge_subgraphs
 from foon.parser import parse_subgraph
@@ -89,7 +89,7 @@ def test_dot_input_and_output_object_is_blue_and_single():
 def test_dot_keys_that_print_alike_get_their_own_nodes():
     # a name may hold braces, so "egg" boiled and "egg{boiled}" share a label
     text = "O\tegg\nS\tboiled\nM\tpeel\nO\tegg white\n//\nO\tegg{boiled}\nM\tcrack\nO\tyolk\n//\n"
-    dot = to_dot(index_outputs(parse_subgraph(text)))
+    dot = to_dot(FoonGraph(parse_subgraph(text)))
     check_dot_syntax(dot)
     nodes = [line.split()[0] for line in dot.splitlines() if "shape=ellipse" in line]
     assert len(nodes) == len(set(nodes)) == 4

@@ -9,7 +9,7 @@ import pytest
 import foon.retrieval
 import helpers
 from foon.cli import main as cli_main
-from foon.core import Algorithm, GoalSpec, SearchStats, index_outputs, validate_task_tree
+from foon.core import Algorithm, FoonGraph, GoalSpec, SearchStats, validate_task_tree
 from foon.data import corpus_file
 from foon.oracle import TooLarge, enumerate_resolutions
 from foon.parser import write_subgraph
@@ -774,10 +774,10 @@ def test_concurrent_gbfs_over_one_graph_matches_serial_runs():
     def run_all(graph, order):
         return {goal: _outcome(retrieve_gbfs, graph, kitchen, goal, HeuristicId.INPUT_COUNT) for goal in order}
 
-    serial = run_all(index_outputs(units), goals)
+    serial = run_all(FoonGraph(units), goals)
     assert all(not isinstance(outcome, str) for outcome in serial.values())
     results = []
-    graph = index_outputs(units)  # a new graph, whose memo is cold
+    graph = FoonGraph(units)  # a new graph, whose memo is cold
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -822,7 +822,7 @@ def test_alternating_kitchens_build_each_derivation_once_per_kitchen(derivations
 def test_alternating_graphs_build_each_derivation_once_per_graph(derivations):
     _, builds = derivations
     graph, kitchen, goal = milk_setup()
-    graphs = [graph, index_outputs(graph.units)]  # equal units, a memo each
+    graphs = [graph, FoonGraph(graph.units)]  # equal units, a memo each
     first = [_retrieve_all(g, kitchen, goal) for g in graphs]
     for _ in range(3):
         assert [_retrieve_all(g, kitchen, goal) for g in graphs] == first

@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     "FunctionalUnit", "GoalSpec", "HeuristicId", "MergeResult", "ObjectKey",
     "ParseError", "ParseWarning", "SchemaError", "SearchStats", "TaskTree", "TooLarge",
     "UnresolvableGoal", "derivation_depths", "enumerate_resolutions", "execution_order",
-    "heuristic_input_count", "index_outputs", "merge_subgraphs", "minima",
+    "heuristic_input_count", "merge_subgraphs", "minima",
     "parse_goal_nodes", "parse_kitchen", "parse_motion_rates", "parse_subgraph", "retrieve_gbfs",
     "retrieve_ids", "to_dot", "validate_task_tree", "write_subgraph", "write_task_tree",
 }
