@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "core": (
-        "Algorithm", "Decision", "DuplicateUnit", "FoonError", "FoonGraph", "FunctionalUnit", "GoalSpec",
-        "ObjectKey", "SearchStats", "TaskTree", "validate_task_tree",
+        "Algorithm", "Decision", "DuplicateUnit", "FoonError", "FoonGraph", "FunctionalUnit", "ObjectKey",
+        "SearchStats", "TaskTree", "validate_task_tree",
     ),
     "export": ("to_dot", "write_task_tree"),
     "merge": ("MergeResult", "merge_subgraphs"),

@@ -23,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import Algorithm, FoonError, GoalSpec, TaskTree
+from .core import Algorithm, FoonError, ObjectKey, TaskTree
 from .export import to_dot, write_task_tree
 from .merge import merge_subgraphs
 from .parser import (
@@ -94,8 +94,8 @@ def _run_algo(algo: str, graph, kitchen, goal, rates, depth_cap) -> TaskTree:
     return retrieve_gbfs(graph, kitchen, goal, heuristic, rates)
 
 
-def _goal_slug(goal: GoalSpec) -> str:
-    return re.sub(r"[^a-z0-9]+", "_", goal.target.name).strip("_")
+def _goal_slug(goal: ObjectKey) -> str:
+    return re.sub(r"[^a-z0-9]+", "_", goal.name).strip("_")
 
 
 def cmd_merge(inputs, out) -> int:
@@ -115,7 +115,7 @@ def cmd_retrieve(universal, kitchen_file, goals_file, algo, out_dir, depth_cap, 
     failures = 0
     stems = set()
     for goal in goals:
-        label = str(goal.target)
+        label = str(goal)
         try:
             tree = _run_algo(algo, graph, kitchen, goal, rates, depth_cap)
         except UnresolvableGoal as exc:
@@ -142,14 +142,14 @@ def _compare_rows(graph, kitchen, goals, rates, depth_cap, with_oracle):
     for goal in goals:
         oracle_cols = {"minimal_units": "", "minimal_depth": ""}
         # the oracle resolves exactly the goals the forward pass derives
-        if with_oracle and goal.target in derivation_depths(graph, kitchen):
+        if with_oracle and goal in derivation_depths(graph, kitchen):
             try:
                 units, depth = oracle.minima(graph, kitchen, goal)  # one enumeration for both
                 oracle_cols = {"minimal_units": units, "minimal_depth": depth}
             except oracle.TooLarge as exc:
-                print(f"{goal.target}: oracle skipped ({exc})", file=sys.stderr)
+                print(f"{goal}: oracle skipped ({exc})", file=sys.stderr)
         for algo in ALGOS:
-            row = {"goal": str(goal.target), "algorithm": algo}
+            row = {"goal": str(goal), "algorithm": algo}
             try:
                 tree = _run_algo(algo, graph, kitchen, goal, rates, depth_cap)
             except UnresolvableGoal:

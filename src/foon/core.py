@@ -3,10 +3,10 @@ universal graph.
 
 An object has one type, :class:`ObjectKey`, which canonicalizes its fields
 and is its own identity: a unit's ``inputs`` and ``outputs`` are tuples of
-keys, and graph indexes and goals hold the same keys. A kitchen, the set of
-objects on hand before execution, is a plain ``frozenset`` of keys. Keys are
-interned under a lock, so there is one instance per distinct key in a
-process, and key equality and hashing are ``object``'s identity versions.
+keys, graph indexes hold the same keys, and a goal is its key. A kitchen, the
+set of objects on hand before execution, is a plain ``frozenset`` of keys.
+Keys are interned under a lock, so there is one instance per distinct key in
+a process, and key equality and hashing are ``object``'s identity versions.
 A motion has no type either: a unit holds its name and timestamps.
 
 Everything here except :class:`SearchStats`, which a retrieval fills as it
@@ -15,9 +15,9 @@ so graphs and kitchens can be shared freely between concurrent retrievals.
 A graph also holds a private memo of what :mod:`foon.retrieval` derives from
 it, maps of keys and unit positions that never refer back to the graph.
 One guard, :class:`Frozen`, refuses every assignment and deletion, and
-constructors store their fields through ``_set``. The record types (goals,
-decisions, stats, trees) are slotted classes that compare, hash, print and
-pickle by their field values.
+constructors store their fields through ``_set``. The record types (decisions,
+stats, trees) are slotted classes that compare, hash, print and pickle by
+their field values.
 
 A graph derives its output index from its units and refuses duplicate units.
 A key's producers are ``graph.output_index.get(key, ())``: the positions of
@@ -165,6 +165,13 @@ class ObjectKey(Frozen):
             parts += "[" + ",".join(self.ingredients) + "]"
         return parts
 
+    @property
+    def target(self) -> "ObjectKey":
+        # the key itself, for the benchmark's two reads of a goal's target
+        # (perfbench/child.py:160, run.py:231); ROADMAP item 12 deletes it
+        # together with those reads, or item 6 if it changes them first
+        return self
+
 
 class FunctionalUnit(Frozen):
     """Input objects + one motion + output objects; the atom of FOON knowledge.
@@ -265,15 +272,6 @@ class FoonGraph(Frozen):
         return len(self.units)
 
 
-class GoalSpec(FrozenRecord):
-    """A retrieval target, canonicalized like any other object."""
-
-    __slots__ = ("target",)
-
-    def __init__(self, target: ObjectKey):
-        _set(self, "target", target)
-
-
 class Algorithm(Enum):
     IDS = "ids"
     GBFS_H1 = "gbfs1"
@@ -327,7 +325,7 @@ class TaskTree(FrozenRecord):
 
 
 def validate_task_tree(
-    graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec, tree: TaskTree
+    graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: ObjectKey, tree: TaskTree
 ) -> None:
     """Independent executability check; raises ValueError on any violation.
 
@@ -348,9 +346,9 @@ def validate_task_tree(
                 raise ValueError(f"step {pos} needs {key} which is not available")
         available.update(unit.outputs)
     if not tree.steps:
-        if goal.target not in kitchen:
+        if goal not in kitchen:
             raise ValueError("empty task tree but goal not in kitchen")
     else:
         final = graph.units[tree.steps[-1]]
-        if goal.target not in final.outputs:
+        if goal not in final.outputs:
             raise ValueError("final step does not produce the goal")

@@ -10,7 +10,7 @@ recursion limit, and it gives up with :class:`TooLarge` once it has visited
 
 from __future__ import annotations
 
-from .core import FoonError, FoonGraph, GoalSpec, ObjectKey
+from .core import FoonError, FoonGraph, ObjectKey
 from .retrieval import UnresolvableGoal
 
 
@@ -42,7 +42,7 @@ def _depth(graph: FoonGraph, kitchen: frozenset[ObjectKey], producer: dict, goal
 
 
 def enumerate_resolutions(
-    graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec
+    graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: ObjectKey
 ) -> list[tuple[frozenset, int]]:
     """All unit sets that completely resolve the goal, each paired with its
     minimum resolution depth.
@@ -55,7 +55,7 @@ def enumerate_resolutions(
     """
     found: dict[frozenset, int] = {}
     # a state is (pending (key, path) pairs, producer map); neither is mutated once pushed
-    stack = [(((goal.target, frozenset()),), {})]
+    stack = [(((goal, frozenset()),), {})]
     popped = 0
     while stack:
         popped += 1
@@ -67,7 +67,7 @@ def enumerate_resolutions(
             top -= 1
         if not top:
             units = frozenset(producer.values())
-            depth = _depth(graph, kitchen, producer, goal.target)
+            depth = _depth(graph, kitchen, producer, goal)
             if units not in found or depth < found[units]:
                 found[units] = depth
             continue
@@ -81,11 +81,12 @@ def enumerate_resolutions(
     return sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0]), item[1]))
 
 
-def minima(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec) -> tuple[int, int]:
+def minima(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: ObjectKey) -> tuple[int, int]:
     """Fewest units and smallest depth over all valid resolutions, from one
     enumeration; the two minima may come from different resolutions. Raises
-    :class:`UnresolvableGoal` when there is no resolution."""
+    :class:`UnresolvableGoal` when there is no resolution, with the reason
+    :func:`foon.retrieval.retrieve_gbfs` gives."""
     resolutions = enumerate_resolutions(graph, kitchen, goal)
     if not resolutions:
-        raise UnresolvableGoal(goal.target, "no-candidates")
+        raise UnresolvableGoal(goal, "dead-end" if goal in graph.output_index else "no-candidates")
     return min(len(units) for units, _ in resolutions), min(depth for _, depth in resolutions)

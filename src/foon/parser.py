@@ -42,7 +42,6 @@ from typing import Sequence
 from .core import (
     FoonError,
     FunctionalUnit,
-    GoalSpec,
     ObjectKey,
 )
 
@@ -199,7 +198,8 @@ def parse_subgraph(text: str, *, blocks: dict | None = None) -> list[FunctionalU
     reader; any other text first passes the line check, which raises its
     :class:`ParseError` or rewrites it in that form (see the module docstring).
 
-    ``blocks`` is the block reader's memo from text read to its key. Calls
+    ``blocks`` is the block reader's memo: it maps each block's text as read,
+    and its canonical fields in the order read, to the block's key. Calls
     that read related files may share one, starting from an empty dict, so
     that a block repeated across the files is checked and canonicalised
     once; ``foon merge`` shares one across its inputs. Without it each call
@@ -304,9 +304,9 @@ def _parse_object_entries(text: str) -> list[ObjectKey]:
     return keys
 
 
-def parse_goal_nodes(text: str) -> list[GoalSpec]:
-    """Parse ``goal_nodes.json`` into goal specs, in file order."""
-    return [GoalSpec(key) for key in _parse_object_entries(text)]
+def parse_goal_nodes(text: str) -> list[ObjectKey]:
+    """Parse ``goal_nodes.json`` into the goals' keys, in file order."""
+    return _parse_object_entries(text)
 
 
 def parse_kitchen(text: str) -> frozenset[ObjectKey]:

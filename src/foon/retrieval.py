@@ -94,7 +94,6 @@ from .core import (
     FoonError,
     FoonGraph,
     FunctionalUnit,
-    GoalSpec,
     ObjectKey,
     SearchStats,
     TaskTree,
@@ -116,16 +115,19 @@ class UnresolvableGoal(FoonError):
       the goal, and ``"dead-end"`` when some unit does but the kitchen cannot
       derive the goal through any of them.
     * :func:`retrieve_ids` gives ``"depth-cap-exhausted"`` when the goal's
-      derivation depth exceeds ``depth_cap``, or when the goal cannot be
-      derived and the search at bound ``depth_cap`` cut a branch off. It
+      derivation depth exceeds ``depth_cap``, when the goal cannot be
+      derived and the search at bound ``depth_cap`` cut a branch off, or
+      when no bound up to the cap resolves a goal derived within it (a key
+      resolved once can be reused too deep; see :func:`retrieve_ids`). It
       gives ``"no-candidates"`` when the goal cannot be derived and that
       search cut nothing: the goal has no producers, or every chain under it
       within the cap ends in a key with no producers or closes a cycle.
 
     The failed retrieval's ``SearchStats`` counters are 0 when no search ran:
     always for GBFS, and for IDS when the derivation depth exceeds the cap or
-    the goal's chain bound fits it. Otherwise IDS searched at the cap only
-    until its first cut, so its counters are partial.
+    the goal's chain bound fits it. They are partial when IDS searched at the
+    cap until its first cut, and the sum of full searches at bounds 0 to the
+    cap when the goal derives within the cap.
     """
 
     def __init__(self, goal: ObjectKey, reason: str):
@@ -397,7 +399,7 @@ def _backtrack(
 def retrieve_ids(
     graph: FoonGraph,
     kitchen: frozenset[ObjectKey],
-    goal: GoalSpec,
+    goal: ObjectKey,
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> TaskTree:
     """Iterative deepening retrieval.
@@ -422,15 +424,14 @@ def retrieve_ids(
     if depth_cap < 0:
         raise ValueError("depth_cap must be >= 0")
     stats = SearchStats(Algorithm.IDS)
-    target = goal.target
-    depth = derivation_depths(graph, kitchen).get(target)
+    depth = derivation_depths(graph, kitchen).get(goal)
     if depth is None:
         # every bound fails; one that cuts nothing runs alike at all larger ones,
         # and a cut needs a chain longer than the cap
-        if _chain_bounds(graph, kitchen).get(target, 1) <= depth_cap:
-            raise UnresolvableGoal(target, "no-candidates")
+        if _chain_bounds(graph, kitchen).get(goal, 1) <= depth_cap:
+            raise UnresolvableGoal(goal, "no-candidates")
     elif depth > depth_cap:
-        raise UnresolvableGoal(target, "depth-cap-exhausted")
+        raise UnresolvableGoal(goal, "depth-cap-exhausted")
     units, producers = graph.units, graph.output_index.get
 
     def options(key: ObjectKey, path: set):
@@ -440,21 +441,21 @@ def retrieve_ids(
                 yield pos
 
     if depth is None:
-        _, cut = _backtrack(graph, kitchen, target, options, stats, depth_cap, stop_at_cut=True)
-        raise UnresolvableGoal(target, "depth-cap-exhausted" if cut else "no-candidates")
+        _, cut = _backtrack(graph, kitchen, goal, options, stats, depth_cap, stop_at_cut=True)
+        raise UnresolvableGoal(goal, "depth-cap-exhausted" if cut else "no-candidates")
     for bound in range(depth_cap + 1):
         # a derivable goal fails a bound only where the bound cut a branch
-        producer, _ = _backtrack(graph, kitchen, target, options, stats, bound)
+        producer, _ = _backtrack(graph, kitchen, goal, options, stats, bound)
         if producer is not None:
             stats.final_depth_bound = bound
             return TaskTree(execution_order(graph, kitchen, producer.values()), stats)
-    raise UnresolvableGoal(target, "depth-cap-exhausted")
+    raise UnresolvableGoal(goal, "depth-cap-exhausted")
 
 
 def retrieve_gbfs(
     graph: FoonGraph,
     kitchen: frozenset[ObjectKey],
-    goal: GoalSpec,
+    goal: ObjectKey,
     heuristic: HeuristicId,
     rates: Mapping[str, float] = MappingProxyType({}),
 ) -> TaskTree:
@@ -476,9 +477,8 @@ def retrieve_gbfs(
         Algorithm.GBFS_H2 if minimize else Algorithm.GBFS_H1
     )
     units = graph.units
-    target = goal.target
-    if target not in derivation_depths(graph, kitchen):
-        raise UnresolvableGoal(target, "dead-end" if target in graph.output_index else "no-candidates")
+    if goal not in derivation_depths(graph, kitchen):
+        raise UnresolvableGoal(goal, "dead-end" if goal in graph.output_index else "no-candidates")
 
     producers = graph.output_index.get
     best, counts = (min, _input_counts(graph)) if minimize else (max, None)
@@ -501,5 +501,5 @@ def retrieve_gbfs(
             yield alive[i]
             del alive[i], scores[i]
 
-    producer, _ = _backtrack(graph, kitchen, target, options, stats)
+    producer, _ = _backtrack(graph, kitchen, goal, options, stats)
     return TaskTree(execution_order(graph, kitchen, producer.values()), stats)

@@ -19,7 +19,6 @@ from foon.core import (
     Decision,
     FoonGraph,
     FunctionalUnit,
-    GoalSpec,
     ObjectKey,
     SearchStats,
     TaskTree,
@@ -65,7 +64,7 @@ def chain_graph(depth, with_decoys=True):
             specs.append(([f"dead{i}"], f"m{i}x", [f"g{i}"]))
     graph = build_graph(specs)
     kitchen = frozenset({key_of(f"g{depth}")})
-    return graph, kitchen, GoalSpec(key_of("g0"))
+    return graph, kitchen, key_of("g0")
 
 
 def ladder_graph(levels):
@@ -77,7 +76,7 @@ def ladder_graph(levels):
         for name in (f"a{i}", f"b{i}"):
             specs.append(([f"a{i + 1}", f"b{i + 1}"], f"m{name}", [name]))
     kitchen = frozenset({key_of(f"a{levels}"), key_of(f"b{levels}")})
-    return build_graph(specs), kitchen, GoalSpec(key_of("a0"))
+    return build_graph(specs), kitchen, key_of("a0")
 
 
 def fan_graph(width):
@@ -86,7 +85,7 @@ def fan_graph(width):
     specs = [([f"k{i}" for i in range(width)], "mix", ["g0"])]
     for i in range(width):
         specs += [(["x"], f"m{i}", [f"k{i}"]), (["x"], f"m{i}y", [f"k{i}"])]
-    return build_graph(specs), frozenset({key_of("x")}), GoalSpec(key_of("g0"))
+    return build_graph(specs), frozenset({key_of("x")}), key_of("g0")
 
 
 def random_instance(rng: random.Random, max_units=12, max_branching=3, max_ingredients=0):
@@ -118,7 +117,7 @@ def random_instance(rng: random.Random, max_units=12, max_branching=3, max_ingre
                 units.append(u)
     graph = FoonGraph(units)
     kitchen = frozenset({keys[n] for n in names if rng.random() < 0.35})
-    goal = GoalSpec(keys[names[0]])
+    goal = keys[names[0]]
     rates = {m: round(rng.random(), 2) for m in motions if rng.random() < 0.8}
     return graph, kitchen, goal, rates
 
@@ -147,24 +146,24 @@ def _assignment_depth(graph, kitchen, producer, goal_key):
         return None
 
 
-def brute_force_resolutions(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: GoalSpec):
+def brute_force_resolutions(graph: FoonGraph, kitchen: frozenset[ObjectKey], goal: ObjectKey):
     """Power-set scan: every unit subset that is exactly the support of some
     acyclic consistent assignment resolving the goal, with its minimum depth.
 
     Deliberately structured nothing like the production oracle: subsets
     outermost, plain assignment enumeration inside.
     """
-    if goal.target in kitchen:
+    if goal in kitchen:
         return [(frozenset(), 0)]
     n = len(graph.units)
     results = {}
     for size in range(n + 1):
         for subset in combinations(range(n), size):
             chosen = set(subset)
-            for producer in _all_assignments(graph, kitchen, goal.target, chosen):
+            for producer in _all_assignments(graph, kitchen, goal, chosen):
                 if set(producer.values()) != chosen:
                     continue
-                depth = _assignment_depth(graph, kitchen, producer, goal.target)
+                depth = _assignment_depth(graph, kitchen, producer, goal)
                 if depth is None:
                     continue
                 s = frozenset(chosen)
@@ -337,7 +336,7 @@ class _Resolution:
 def recursive_retrieve_ids(
     graph: FoonGraph,
     kitchen: frozenset[ObjectKey],
-    goal: GoalSpec,
+    goal: ObjectKey,
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> TaskTree:
     """Iterative deepening retrieval.
@@ -351,7 +350,6 @@ def recursive_retrieve_ids(
     if depth_cap < 0:
         raise ValueError("depth_cap must be >= 0")
     stats = SearchStats(Algorithm.IDS)
-    target = goal.target
 
     for bound in range(depth_cap + 1):
         resolution = _Resolution()
@@ -393,22 +391,22 @@ def recursive_retrieve_ids(
                 resolution.rollback(mark)
             return False
 
-        if resolve(target, 0, frozenset()):
+        if resolve(goal, 0, frozenset()):
             stats.final_depth_bound = bound
             steps = execution_order(graph, kitchen, resolution.chosen_units())
             return TaskTree(steps, stats)
         if not hit_bound:
             # the bound never cut anything off, so deeper iterations would
             # explore the identical tree and fail the same way
-            raise UnresolvableGoal(target, "no-candidates")
+            raise UnresolvableGoal(goal, "no-candidates")
 
-    raise UnresolvableGoal(target, "depth-cap-exhausted")
+    raise UnresolvableGoal(goal, "depth-cap-exhausted")
 
 
 def recursive_retrieve_gbfs(
     graph: FoonGraph,
     kitchen: frozenset[ObjectKey],
-    goal: GoalSpec,
+    goal: ObjectKey,
     heuristic: HeuristicId,
     rates: Mapping[str, float] = {},
 ) -> TaskTree:
@@ -424,7 +422,6 @@ def recursive_retrieve_gbfs(
         Algorithm.GBFS_H2 if minimize else Algorithm.GBFS_H1
     )
     resolution = _Resolution()
-    target = goal.target
 
     def score(unit: FunctionalUnit) -> float:
         stats.candidate_evaluations += 1
@@ -463,10 +460,10 @@ def recursive_retrieve_gbfs(
             alive.remove(best)
         return False
 
-    if not resolve(target, frozenset()):
-        if not graph.output_index.get(target, ()):
-            raise UnresolvableGoal(target, "no-candidates")
-        raise UnresolvableGoal(target, "dead-end")
+    if not resolve(goal, frozenset()):
+        if not graph.output_index.get(goal, ()):
+            raise UnresolvableGoal(goal, "no-candidates")
+        raise UnresolvableGoal(goal, "dead-end")
     steps = execution_order(graph, kitchen, resolution.chosen_units())
     return TaskTree(steps, stats)
 

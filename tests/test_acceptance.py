@@ -144,7 +144,6 @@ def test_criterion_5_merge_idempotence(corpus_subgraphs):
 
 def test_criterion_6_cycle_termination():
     from helpers import build_graph, key_of
-    from foon.core import GoalSpec
 
     graph = build_graph(
         [
@@ -154,7 +153,7 @@ def test_criterion_6_cycle_termination():
         ]
     )
     kitchen = frozenset(set())
-    goal = GoalSpec(key_of("a"))
+    goal = key_of("a")
     started = time.monotonic()
     outcomes = []
     for run in (

@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 import foon
 from foon import oracle
 from foon.cli import _parser, main
-from foon.core import GoalSpec
+from foon.core import ObjectKey
 from foon.data import corpus_file, subgraph_paths
-from foon.parser import write_subgraph
+from foon.parser import parse_goal_nodes, write_subgraph
 from helpers import CliRunner, build_graph, chain_graph, fan_graph, key_of
 
 
@@ -282,6 +283,52 @@ def test_compare_with_oracle_columns(runner, universal, corpus_paths):
     assert header.endswith("resolved,minimal_units,minimal_depth")
 
 
+def test_desk_corpus_figures(runner, universal, corpus_paths, tmp_path):
+    # the paper's table on the desk corpus: units, expansions and depth bound
+    # of each algorithm per goal, against the oracle's minima, and what a
+    # depth cap of 1 leaves unresolved
+    inputs = [universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
+    result = runner.invoke(
+        main, ["compare", *inputs, "--motion-rates", corpus_paths["motion.txt"], "--with-oracle", "--format", "csv"]
+    )
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout == (
+        "goal,algorithm,units,expanded,depth_bound,resolved,minimal_units,minimal_depth\n"
+        "whipped cream{whipped},ids,3,6,3,true,3,3\n"
+        "whipped cream{whipped},gbfs1,3,3,,true,3,3\n"
+        "whipped cream{whipped},gbfs2,3,3,,true,3,3\n"
+        "greek salad{mixed},ids,6,12,4,true,6,4\n"
+        "greek salad{mixed},gbfs1,6,6,,true,6,4\n"
+        "greek salad{mixed},gbfs2,6,6,,true,6,4\n"
+        "ice{solid},ids,1,1,1,true,1,1\n"
+        "ice{solid},gbfs1,1,1,,true,1,1\n"
+        "ice{solid},gbfs2,1,1,,true,1,1\n"
+    )
+    result = runner.invoke(main, ["compare", *inputs, "--depth-cap", "1", "--format", "csv"])
+    assert (result.exit_code, result.stderr) == (1, "")
+    assert result.stdout == (
+        "goal,algorithm,units,expanded,depth_bound,resolved\n"
+        "whipped cream{whipped},ids,,,,false\n"
+        "whipped cream{whipped},gbfs1,3,3,,true\n"
+        "whipped cream{whipped},gbfs2,3,3,,true\n"
+        "greek salad{mixed},ids,,,,false\n"
+        "greek salad{mixed},gbfs1,6,6,,true\n"
+        "greek salad{mixed},gbfs2,6,6,,true\n"
+        "ice{solid},ids,1,1,1,true\n"
+        "ice{solid},gbfs1,1,1,,true\n"
+        "ice{solid},gbfs2,1,1,,true\n"
+    )
+    result = runner.invoke(
+        main, ["retrieve", *inputs, "--algo", "ids", "--depth-cap", "1", "--out-dir", str(tmp_path / "o")]
+    )
+    assert (result.exit_code, result.stderr) == (1, "")
+    assert result.stdout == (
+        "whipped cream{whipped}: unresolvable (depth-cap-exhausted)\n"
+        "greek salad{mixed}: unresolvable (depth-cap-exhausted)\n"
+        "ice{solid}: 1 units -> ice_ids.foon.txt\n"
+    )
+
+
 def test_compare_with_oracle_enumerates_once_per_goal(runner, universal, corpus_paths, monkeypatch):
     calls = []
     enumerate_resolutions = oracle.enumerate_resolutions
@@ -298,7 +345,7 @@ def test_compare_with_oracle_enumerates_once_per_goal(runner, universal, corpus_
     )
     assert result.exit_code == 0, result.output
     goals = [row.split(",")[0] for row in result.stdout.splitlines()[1::3]]
-    assert [str(goal.target) for goal in calls] == goals
+    assert [str(goal) for goal in calls] == goals
     assert len(goals) == 3
 
 
@@ -331,7 +378,7 @@ def _write_instance(tmp_path, graph, kitchen, goal):
     kitchen_file = tmp_path / "kitchen.json"
     kitchen_file.write_text(json.dumps([{"object": key.name} for key in kitchen]))
     goals_file = tmp_path / "goals.json"
-    goals_file.write_text(json.dumps([{"object": goal.target.name}]))
+    goals_file.write_text(json.dumps([{"object": goal.name}]))
     return str(universal), str(kitchen_file), str(goals_file)
 
 
@@ -368,7 +415,7 @@ def test_compare_with_oracle_underivable_too_large_goal_is_silent(runner, tmp_pa
     specs = [(["ghost"] + [f"k{i}" for i in range(20)], "mix", ["g0"])]
     for i in range(20):
         specs += [(["x"], f"m{i}", [f"k{i}"]), (["x"], f"m{i}y", [f"k{i}"])]
-    graph, kitchen, goal = build_graph(specs), frozenset({key_of("x")}), GoalSpec(key_of("g0"))
+    graph, kitchen, goal = build_graph(specs), frozenset({key_of("x")}), key_of("g0")
     with pytest.raises(oracle.TooLarge):
         oracle.enumerate_resolutions(graph, kitchen, goal)
     universal, kitchen_file, goals_file = _write_instance(tmp_path, graph, kitchen, goal)
@@ -504,8 +551,14 @@ def test_every_name_the_benchmark_wraps_is_called(runner, corpus_paths, tmp_path
     calls = dict.fromkeys(hooks, 0)
 
     def counting(hook, fn):
+        signature = inspect.signature(fn)
+
         def wrapper(*args, **kwargs):
             calls[hook] += 1
+            if hook[1] in ("retrieve_ids", "retrieve_gbfs"):
+                # the benchmark labels a retrieval by its bound goal's ``target``
+                goal = signature.bind(*args, **kwargs).arguments["goal"]
+                assert goal.target is goal and type(goal) is ObjectKey
             return fn(*args, **kwargs)
         return wrapper
 
@@ -519,6 +572,9 @@ def test_every_name_the_benchmark_wraps_is_called(runner, corpus_paths, tmp_path
     retrievals = calls["foon.cli", "retrieve_ids"] + calls["foon.cli", "retrieve_gbfs"]
     assert calls["foon.retrieval", "SearchStats"] == retrievals == 12  # one per retrieval
     assert foon.cli.main.main is foon.cli.main  # the name the benchmark runs a command through
+    # and it reads each parsed goal's ``target`` to match trees to goals
+    goals = parse_goal_nodes(corpus_file("goal_nodes.json").read_text(encoding="utf-8"))
+    assert goals and all(goal.target is goal and type(goal) is ObjectKey for goal in goals)
 
 
 def test_labels_stdout_cannot_encode_exit_2(universal, corpus_paths, tmp_path):
@@ -821,7 +877,7 @@ def test_cyclic_garbage_does_not_grow_with_the_input(universal, corpus_paths, tm
     chain_dir = tmp_path / "chain"
     chain_dir.mkdir()
     chain, chain_kitchen, chain_goals = _write_instance(chain_dir, graph, kitchen, goal)
-    Path(chain_goals).write_text(json.dumps([{"object": goal.target.name}, {"object": "lasagna"}]))
+    Path(chain_goals).write_text(json.dumps([{"object": goal.name}, {"object": "lasagna"}]))
     large = _cyclic_garbage("compare", chain, chain_kitchen, chain_goals, "--format", "csv")
     assert corpus[0] == large[0] == 1  # lasagna is unresolvable in both
     assert corpus[1] == large[1]

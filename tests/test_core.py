@@ -18,7 +18,6 @@ from foon.core import (
     FoonGraph,
     FrozenRecord,
     FunctionalUnit,
-    GoalSpec,
     ObjectKey,
     SearchStats,
     TaskTree,
@@ -229,7 +228,7 @@ def test_parsers_share_one_key_per_object():
     (raw,) = units[0].inputs
     (whipped,) = units[0].outputs
     assert next(iter(kitchen)) is raw
-    assert goal.target is whipped
+    assert goal is whipped
 
 
 def test_unreferenced_key_leaves_the_intern_table():
@@ -312,7 +311,7 @@ def test_units_and_graphs_refuse_deletion():
     whip = unit(["cream"], "whip", ["whipped cream"])
     graph = FoonGraph([whip])
     stats = SearchStats(Algorithm.IDS)
-    records = [GoalSpec(key), Decision(key, (0,), 0, (1.0,)), TaskTree((0,), stats), MergeResult(graph, 1, 0)]
+    records = [Decision(key, (0,), 0, (1.0,)), TaskTree((0,), stats), MergeResult(graph, 1, 0)]
     assert {type(record) for record in records} == set(FrozenRecord.__subclasses__())
     for target in (key, whip, graph, *records):
         before = {field: getattr(target, field) for field in type(target).__slots__ if field != "__weakref__"}
@@ -342,7 +341,6 @@ def test_record_types_keep_their_value_semantics():
     cream = "ObjectKey('cream', states=['whipped'], ingredients=[])"
     assert (whip.motion, whip.start_time, whip.end_time) == ("whip", "3:20", None)
     assert repr(whip) == "<FunctionalUnit [cream] -whip-> [cream{whipped}]>"
-    assert repr(GoalSpec(key)) == f"GoalSpec(target={cream})"
     assert repr(decision) == f"Decision(needed={cream}, candidates=(1, 4), chosen=4, scores=(2.0, 1.0))"
     stats_repr = (
         "SearchStats(algorithm=<Algorithm.GBFS_H2: 'gbfs2'>, units_expanded=3, "
@@ -352,10 +350,9 @@ def test_record_types_keep_their_value_semantics():
     assert repr(tree) == f"TaskTree(steps=(1, 4), stats={stats_repr})"
     assert repr(merged) == f"MergeResult(graph={graph!r}, kept=0, dropped=2)"
 
-    hashable = [whip, GoalSpec(key), decision, merged]
+    hashable = [whip, decision, merged]
     twins = [
         FunctionalUnit(inputs=cream_in, motion="whip", outputs=[key], start_time="3:20"),
-        GoalSpec(target=key),
         Decision(needed=key, candidates=(1, 4), chosen=4, scores=(2.0, 1.0)),
         MergeResult(graph, 0, 2),
     ]
@@ -372,7 +369,7 @@ def test_record_types_keep_their_value_semantics():
         with pytest.raises(TypeError):
             hash(unhashable)
 
-    for record in [whip, GoalSpec(key), decision, stats, tree]:
+    for record in [whip, decision, stats, tree]:
         for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
             assert copied == record and type(copied) is type(record)
     with_end = FunctionalUnit(cream_in, "whip", [key], "1:00", "2:00")
@@ -386,7 +383,6 @@ def test_record_types_keep_their_value_semantics():
 
     for record, field in [
         (whip, "motion"),
-        (GoalSpec(key), "target"),
         (decision, "chosen"),
         (tree, "steps"),
         (merged, "kept"),
@@ -476,13 +472,13 @@ def test_racing_constructors_return_one_instance(monkeypatch):
 
 def _milk_to_whipped_cream():
     graph = build_graph([(["milk"], "skim", ["cream"]), (["cream"], "whip", ["whipped cream"])])
-    return graph, frozenset({key_of("milk")}), GoalSpec(key_of("whipped cream"))
+    return graph, frozenset({key_of("milk")}), key_of("whipped cream")
 
 
 def test_validate_task_tree_accepts_executable_trees():
     graph, kitchen, goal = _milk_to_whipped_cream()
     validate_task_tree(graph, kitchen, goal, TaskTree((0, 1), SearchStats(Algorithm.IDS)))
-    validate_task_tree(graph, kitchen, GoalSpec(key_of("milk")), TaskTree((), SearchStats(Algorithm.IDS)))
+    validate_task_tree(graph, kitchen, key_of("milk"), TaskTree((), SearchStats(Algorithm.IDS)))
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foon.core import Algorithm, FoonGraph, GoalSpec, SearchStats, TaskTree
+from foon.core import Algorithm, FoonGraph, SearchStats, TaskTree
 from foon.export import write_task_tree, to_dot
 from foon.merge import merge_subgraphs
 from foon.parser import parse_subgraph
@@ -34,7 +34,7 @@ def test_write_tree_units_in_step_order():
 
 
 def test_write_tree_golden(corpus_graph, corpus_kitchen):
-    goal = GoalSpec(key_of("ice", ["solid"]))
+    goal = key_of("ice", ["solid"])
     tree = retrieve_ids(corpus_graph, corpus_kitchen, goal)
     assert write_task_tree(corpus_graph, tree) == (
         "# task tree: 1 units\n"

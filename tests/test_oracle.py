@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from foon.core import Algorithm, GoalSpec, SearchStats, TaskTree, validate_task_tree
+from foon.core import Algorithm, SearchStats, TaskTree, validate_task_tree
 from foon.oracle import TooLarge, enumerate_resolutions, minima
-from foon.retrieval import UnresolvableGoal, execution_order, retrieve_ids
+from foon.retrieval import HeuristicId, UnresolvableGoal, execution_order, retrieve_gbfs, retrieve_ids
 from helpers import (
     brute_force_resolutions,
     build_graph,
@@ -24,7 +24,7 @@ def milk_chain():
             (["milk"], "skim", ["cream"]),
         ]
     )
-    return graph, frozenset({key_of("milk")}), GoalSpec(key_of("whipped cream"))
+    return graph, frozenset({key_of("milk")}), key_of("whipped cream")
 
 
 def ab_graph():
@@ -35,12 +35,12 @@ def ab_graph():
         ]
     )
     kitchen = frozenset({key_of("p"), key_of("q"), key_of("r")})
-    return graph, kitchen, GoalSpec(key_of("goal"))
+    return graph, kitchen, key_of("goal")
 
 
 def test_goal_in_kitchen():
     graph, _, goal = milk_chain()
-    kitchen = frozenset({goal.target})
+    kitchen = frozenset({goal})
     assert enumerate_resolutions(graph, kitchen, goal) == [(frozenset(), 0)]
     assert minima(graph, kitchen, goal)[0] == 0
     assert minima(graph, kitchen, goal)[1] == 0
@@ -63,12 +63,20 @@ def test_or_graph_two_singleton_resolutions():
 
 def test_unresolvable_goal():
     graph, kitchen, _ = milk_chain()
-    missing = GoalSpec(key_of("cake"))
+    missing = key_of("cake")
     assert enumerate_resolutions(graph, kitchen, missing) == []
     with pytest.raises(UnresolvableGoal):
         minima(graph, kitchen, missing)[0]
     with pytest.raises(UnresolvableGoal):
         minima(graph, kitchen, missing)[1]
+    # the reason is the one the unbounded search gives: no unit produces the
+    # goal, or some does but the kitchen cannot derive it through any
+    stuck = build_graph([(["a"], "bake", ["cake"])]), frozenset({key_of("b")})
+    for instance, reason in [((graph, kitchen), "no-candidates"), (stuck, "dead-end")]:
+        for search in (minima, lambda *args: retrieve_gbfs(*args, HeuristicId.INPUT_COUNT)):
+            with pytest.raises(UnresolvableGoal) as raised:
+                search(*instance, missing)
+            assert raised.value.reason == reason
 
 
 def test_guard_refuses_huge_enumerations():

@@ -519,7 +519,7 @@ def test_parse_goal_nodes():
         '[{"object":"whipped cream","states":["whipped"],"ingredients":[]}]'
     )
     assert len(goals) == 1
-    assert goals[0].target == key_of("whipped cream", ["whipped"])
+    assert goals[0] == key_of("whipped cream", ["whipped"])
 
 
 def test_parse_goal_nodes_empty():
@@ -568,4 +568,4 @@ def test_corpus_kitchen_and_goals_parse():
     kitchen = parse_kitchen(corpus_file("kitchen.json").read_text())
     goals = parse_goal_nodes(corpus_file("goal_nodes.json").read_text())
     assert key_of("cream", ["raw"]) in kitchen
-    assert goals[0].target == key_of("whipped cream", ["whipped"])
+    assert goals[0] == key_of("whipped cream", ["whipped"])

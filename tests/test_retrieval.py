@@ -9,7 +9,7 @@ import pytest
 import foon.retrieval
 import helpers
 from foon.cli import main as cli_main
-from foon.core import Algorithm, FoonGraph, GoalSpec, SearchStats, validate_task_tree
+from foon.core import Algorithm, FoonGraph, SearchStats, validate_task_tree
 from foon.data import corpus_file
 from foon.oracle import TooLarge, enumerate_resolutions
 from foon.parser import write_subgraph
@@ -47,7 +47,7 @@ MILK_CHAIN = [
 def milk_setup():
     graph = build_graph(MILK_CHAIN)
     kitchen = frozenset({key_of("milk")})
-    return graph, kitchen, GoalSpec(key_of("whipped cream"))
+    return graph, kitchen, key_of("whipped cream")
 
 
 def all_algorithms(graph, kitchen, goal, rates={}, depth_cap=100):
@@ -120,7 +120,7 @@ def test_input_count_single_object_three_ingredients():
 def test_ids_goal_in_kitchen():
     graph, _, _ = milk_setup()
     kitchen = frozenset({key_of("whipped cream")})
-    tree = retrieve_ids(graph, kitchen, GoalSpec(key_of("whipped cream")))
+    tree = retrieve_ids(graph, kitchen, key_of("whipped cream"))
     assert tree.steps == ()
     assert tree.stats.final_depth_bound == 0
 
@@ -136,7 +136,7 @@ def test_ids_two_unit_chain():
 def test_ids_no_candidates():
     graph, kitchen, _ = milk_setup()
     with pytest.raises(UnresolvableGoal) as err:
-        retrieve_ids(graph, kitchen, GoalSpec(key_of("cake")))
+        retrieve_ids(graph, kitchen, key_of("cake"))
     assert err.value.reason == "no-candidates"
 
 
@@ -163,7 +163,7 @@ def test_ids_backtracks_past_dead_end():
         ]
     )
     kitchen = frozenset({key_of("base")})
-    tree = retrieve_ids(graph, kitchen, GoalSpec(key_of("goal")))
+    tree = retrieve_ids(graph, kitchen, key_of("goal"))
     assert tree.steps == (1,)
 
 
@@ -179,7 +179,7 @@ def test_ids_reused_subtree_counts_its_deepest_branch():
         ]
     )
     kitchen = frozenset({key_of("k1"), key_of("k2")})
-    goal = GoalSpec(key_of("goal"))
+    goal = key_of("goal")
     tree = retrieve_ids(graph, kitchen, goal)
     assert tree.stats.final_depth_bound == 4
     assert tree.steps == (3, 2, 1, 0)
@@ -217,7 +217,7 @@ def ab_setup():
     )
     kitchen = frozenset({key_of("p"), key_of("q"), key_of("r")})
     rates = {"blend": 0.9, "mash": 0.5}
-    return graph, kitchen, GoalSpec(key_of("goal")), rates
+    return graph, kitchen, key_of("goal"), rates
 
 
 def test_gbfs_success_rate_prefers_high_rate():
@@ -234,7 +234,7 @@ def test_gbfs_input_count_prefers_fewer_inputs():
 
 def test_gbfs_goal_in_kitchen():
     graph, _, goal, rates = ab_setup()
-    kitchen = frozenset({goal.target})
+    kitchen = frozenset({goal})
     for heuristic in HeuristicId:
         assert retrieve_gbfs(graph, kitchen, goal, heuristic, rates).steps == ()
 
@@ -248,7 +248,7 @@ def test_gbfs_missing_rate_loses_to_known_rate():
     )
     kitchen = frozenset({key_of("p"), key_of("q")})
     rates = {"mash": 0.4}
-    tree = retrieve_gbfs(graph, kitchen, GoalSpec(key_of("goal")), HeuristicId.SUCCESS_RATE, rates)
+    tree = retrieve_gbfs(graph, kitchen, key_of("goal"), HeuristicId.SUCCESS_RATE, rates)
     assert tree.steps == (1,)
     (decision,) = tree.stats.decision_log
     assert decision.chosen == 1
@@ -265,7 +265,7 @@ def test_gbfs_backtracks_on_dead_end():
     )
     kitchen = frozenset({key_of("p")})
     rates = {"blend": 0.9, "mash": 0.5}
-    tree = retrieve_gbfs(graph, kitchen, GoalSpec(key_of("goal")), HeuristicId.SUCCESS_RATE, rates)
+    tree = retrieve_gbfs(graph, kitchen, key_of("goal"), HeuristicId.SUCCESS_RATE, rates)
     assert tree.steps == (1,)
     chosen = [d.chosen for d in tree.stats.decision_log]
     assert chosen == [0, 1]  # tried the 0.9 unit, fell back
@@ -281,14 +281,14 @@ def test_gbfs_tie_breaks_to_lowest_index():
     )
     kitchen = frozenset({key_of("p"), key_of("q")})
     for heuristic in HeuristicId:
-        tree = retrieve_gbfs(graph, kitchen, GoalSpec(key_of("goal")), heuristic)
+        tree = retrieve_gbfs(graph, kitchen, key_of("goal"), heuristic)
         assert tree.steps == (0,)
 
 
 def test_gbfs_unresolvable():
     graph, kitchen, _, rates = ab_setup()
     with pytest.raises(UnresolvableGoal):
-        retrieve_gbfs(graph, kitchen, GoalSpec(key_of("cake")), HeuristicId.SUCCESS_RATE, rates)
+        retrieve_gbfs(graph, kitchen, key_of("cake"), HeuristicId.SUCCESS_RATE, rates)
 
 
 def test_gbfs_decision_log_audit(corpus_graph, corpus_kitchen, corpus_goals, corpus_rates):
@@ -305,7 +305,7 @@ def test_gbfs_decision_log_audit(corpus_graph, corpus_kitchen, corpus_goals, cor
 def test_unit_listing_an_output_twice_is_one_producer():
     graph = build_graph([(["a"], "m", ["b", "b"]), (["c"], "m", ["b"])])
     assert graph.output_index[key_of("b")] == (0, 1)
-    kitchen, goal = frozenset({key_of("c")}), GoalSpec(key_of("b"))
+    kitchen, goal = frozenset({key_of("c")}), key_of("b")
     ids = retrieve_ids(graph, kitchen, goal)
     assert (ids.steps, ids.stats.units_expanded) == ((1,), 2)
     gbfs = retrieve_gbfs(graph, kitchen, goal, HeuristicId.SUCCESS_RATE)
@@ -323,7 +323,7 @@ def test_shared_intermediate_computed_once():
         ]
     )
     kitchen = frozenset({key_of("base")})
-    goal = GoalSpec(key_of("goal"))
+    goal = key_of("goal")
     for tree in all_algorithms(graph, kitchen, goal):
         assert sorted(tree.steps) == [0, 1, 2, 3]
         validate_task_tree(graph, kitchen, goal, tree)
@@ -338,7 +338,7 @@ def test_cycle_with_escape_terminates():
         ]
     )
     kitchen = frozenset({key_of("k")})
-    goal = GoalSpec(key_of("a"))
+    goal = key_of("a")
     for tree in all_algorithms(graph, kitchen, goal):
         assert sorted(tree.steps) == [0, 2]
         validate_task_tree(graph, kitchen, goal, tree)
@@ -353,7 +353,7 @@ def test_pure_cycle_unresolvable():
         ]
     )
     kitchen = frozenset(set())
-    goal = GoalSpec(key_of("a"))
+    goal = key_of("a")
     with pytest.raises(UnresolvableGoal):
         retrieve_ids(graph, kitchen, goal)
     for heuristic in HeuristicId:
@@ -390,7 +390,7 @@ def test_derivation_depths_match_the_oracle():
         except TooLarge:
             continue
         # derivable iff the oracle finds a resolution, at its smallest depth
-        assert derivation_depths(graph, kitchen).get(goal.target) == want, goal
+        assert derivation_depths(graph, kitchen).get(goal) == want, goal
         outcomes[want is None] += 1
     assert outcomes[False] >= 500 and outcomes[True] >= 300, outcomes
 
@@ -449,8 +449,8 @@ def test_derivation_depths_named_instances(name):
     specs, stocked, goal_name, depth = NAMED_INSTANCES[name]
     graph = build_graph(specs)
     kitchen = frozenset(key_of(n) for n in stocked)
-    goal = GoalSpec(key_of(goal_name))
-    assert derivation_depths(graph, kitchen).get(goal.target) == depth
+    goal = key_of(goal_name)
+    assert derivation_depths(graph, kitchen).get(goal) == depth
     assert _oracle_depth(graph, kitchen, goal) == depth
 
 
@@ -461,7 +461,7 @@ def test_ids_fails_a_derivable_goal_that_no_bound_up_to_the_cap_resolves(built_s
     specs, stocked, goal_name, depth = NAMED_INSTANCES["reuse-too-deep"]
     graph = build_graph(specs)
     kitchen = frozenset(key_of(n) for n in stocked)
-    goal = GoalSpec(key_of(goal_name))
+    goal = key_of(goal_name)
     reference_stats = []
 
     def recording(*args, **kwargs):
@@ -483,9 +483,9 @@ def test_ids_fails_a_derivable_goal_that_no_bound_up_to_the_cap_resolves(built_s
 def test_derivation_depths_are_read_only():
     graph, kitchen, goal = milk_setup()
     depths = derivation_depths(graph, kitchen)
-    assert dict(depths) == {key_of("milk"): 0, key_of("cream"): 1, goal.target: 2}
+    assert dict(depths) == {key_of("milk"): 0, key_of("cream"): 1, goal: 2}
     with pytest.raises(TypeError):
-        depths[goal.target] = 0
+        depths[goal] = 0
 
 
 @pytest.mark.parametrize("heuristic", list(HeuristicId))
@@ -493,7 +493,7 @@ def test_derivation_depths_are_read_only():
 def test_gbfs_underivable_goal_searches_nothing(built_stats, heuristic, goal_name, reason):
     graph = build_graph([(["b"], "m1", ["a"]), (["a"], "m2", ["b"])])
     with pytest.raises(UnresolvableGoal) as err:
-        retrieve_gbfs(graph, frozenset({key_of("k")}), GoalSpec(key_of(goal_name)), heuristic)
+        retrieve_gbfs(graph, frozenset({key_of("k")}), key_of(goal_name), heuristic)
     assert err.value.reason == reason
     (stats,) = built_stats
     assert stats.units_expanded == stats.candidate_evaluations == 0
@@ -525,7 +525,7 @@ def _cap_search(graph, kitchen, goal, cap, stop_at_cut):
             if path.isdisjoint(graph.units[pos].inputs):
                 yield pos
 
-    _, cut = foon.retrieval._backtrack(graph, kitchen, goal.target, options, stats, cap, stop_at_cut)
+    _, cut = foon.retrieval._backtrack(graph, kitchen, goal, options, stats, cap, stop_at_cut)
     return cut, stats
 
 
@@ -534,14 +534,14 @@ def _underivable_draws(seed, count):
     for i in range(count):
         size = {"max_units": 30, "max_branching": 4} if i % 2 else {}
         graph, kitchen, goal, _ = random_instance(rng, **size)
-        if goal.target not in derivation_depths(graph, kitchen):
+        if goal not in derivation_depths(graph, kitchen):
             yield graph, kitchen, goal
 
 
 def test_chain_bound_rules_out_every_cut():
     outcomes = Counter()
     for graph, kitchen, goal in _underivable_draws(7, 3000):
-        bound = foon.retrieval._chain_bounds(graph, kitchen).get(goal.target, 1)
+        bound = foon.retrieval._chain_bounds(graph, kitchen).get(goal, 1)
         for cap in (0, 1, 2, 3, 5, 100):
             cut, _ = _cap_search(graph, kitchen, goal, cap, stop_at_cut=True)
             if bound <= cap:
@@ -572,7 +572,7 @@ def _chain(n):
     """Goal ``g0`` made from ``g1`` ... made from ``g{n-1}``, which nothing
     makes: a chain of n keys, with an empty kitchen."""
     graph = build_graph([([f"g{i + 1}"], f"m{i}", [f"g{i}"]) for i in range(n - 1)])
-    return graph, frozenset(), GoalSpec(key_of("g0"))
+    return graph, frozenset(), key_of("g0")
 
 
 CHAIN_BOUND_INSTANCES = {
@@ -581,17 +581,17 @@ CHAIN_BOUND_INSTANCES = {
     "cycle-without-entry": (
         build_graph([(["b"], "m1", ["a"]), (["a"], "m2", ["b"])]),
         frozenset(),
-        GoalSpec(key_of("a")),
+        key_of("a"),
         2,
     ),
-    "no-producers": (*milk_setup()[:2], GoalSpec(key_of("cake")), 1),
+    "no-producers": (*milk_setup()[:2], key_of("cake"), 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_BOUND_INSTANCES))
 def test_chain_bound_named_instances(built_stats, name):
     graph, kitchen, goal, bound = CHAIN_BOUND_INSTANCES[name]
-    assert foon.retrieval._chain_bounds(graph, kitchen).get(goal.target, 1) == bound
+    assert foon.retrieval._chain_bounds(graph, kitchen).get(goal, 1) == bound
     for cap, reason in ((bound - 1, "depth-cap-exhausted"), (bound, "no-candidates")):
         with pytest.raises(UnresolvableGoal) as err:
             retrieve_ids(graph, kitchen, goal, depth_cap=cap)
@@ -606,9 +606,9 @@ def test_reuse_past_the_cap_ends_a_first_cut_search(built_stats):
     # "a" resolves at level 1 under the goal, then "b" reuses it at level 2,
     # where its height of 1 does not fit cap 2: the first cut is that reuse
     graph = build_graph([(["k"], "m1", ["a"]), (["a", "b"], "m2", ["g"]), (["a", "x"], "m3", ["b"])])
-    kitchen, goal = frozenset({key_of("k")}), GoalSpec(key_of("g"))
-    assert goal.target not in derivation_depths(graph, kitchen)
-    assert foon.retrieval._chain_bounds(graph, kitchen)[goal.target] == 3
+    kitchen, goal = frozenset({key_of("k")}), key_of("g")
+    assert goal not in derivation_depths(graph, kitchen)
+    assert foon.retrieval._chain_bounds(graph, kitchen)[goal] == 3
     for cap, reason in ((2, "depth-cap-exhausted"), (3, "no-candidates")):
         with pytest.raises(UnresolvableGoal) as err:
             retrieve_ids(graph, kitchen, goal, depth_cap=cap)
@@ -623,13 +623,13 @@ def test_chain_bounds_are_read_only():
     bounds = foon.retrieval._chain_bounds(graph, kitchen)
     assert dict(bounds) == {key_of("g0"): 3, key_of("g1"): 2, key_of("g2"): 1}
     with pytest.raises(TypeError):
-        bounds[goal.target] = 0
+        bounds[goal] = 0
 
 
 def test_chain_bounds_deeper_than_recursion_limit():
     n = sys.getrecursionlimit() + 200
     graph, kitchen, goal = _chain(n)
-    assert foon.retrieval._chain_bounds(graph, kitchen)[goal.target] == n
+    assert foon.retrieval._chain_bounds(graph, kitchen)[goal] == n
     with pytest.raises(UnresolvableGoal) as err:
         retrieve_ids(graph, kitchen, goal, depth_cap=n)
     assert err.value.reason == "no-candidates"
@@ -716,7 +716,7 @@ def test_gbfs_matches_recursive_reference_as_input_counts_vary_and_graphs_switch
             built = builds["_input_counts"]
             for target in graph.output_index:
                 for heuristic in HeuristicId:
-                    args = (graph, kitchen, GoalSpec(target), heuristic, rates)
+                    args = (graph, kitchen, target, heuristic, rates)
                     got = _outcome(retrieve_gbfs, *args)
                     assert got == _outcome(recursive_retrieve_gbfs, *args), (heuristic, target)
                     outcomes[heuristic, got if isinstance(got, str) else "resolved"] += 1
@@ -769,7 +769,7 @@ def test_concurrent_gbfs_over_one_graph_matches_serial_runs():
     ]
     units = list(dict.fromkeys(units))
     kitchen = frozenset(layers[6])
-    goals = [GoalSpec(key) for key in layers[0]]
+    goals = [key for key in layers[0]]
 
     def run_all(graph, order):
         return {goal: _outcome(retrieve_gbfs, graph, kitchen, goal, HeuristicId.INPUT_COUNT) for goal in order}
@@ -811,7 +811,7 @@ def _retrieve_all(graph, kitchen, goal):
 def test_alternating_kitchens_build_each_derivation_once_per_kitchen(derivations):
     _, builds = derivations
     graph, kitchen, goal = milk_setup()
-    runs = [(k, g) for k in (kitchen, frozenset({key_of("cream")})) for g in (goal, GoalSpec(key_of("cake")))]
+    runs = [(k, g) for k in (kitchen, frozenset({key_of("cream")})) for g in (goal, key_of("cake"))]
     first = [_retrieve_all(graph, *run) for run in runs]
     for _ in range(3):
         assert [_retrieve_all(graph, *run) for run in runs] == first
@@ -845,7 +845,7 @@ def test_a_retrieval_adds_no_reference_to_its_graph():
     # in the memo refers back to it, and no module-level state holds it
     graph, kitchen, goal = milk_setup()
     before = sys.getrefcount(graph)
-    for target in (goal, GoalSpec(key_of("cake"))):
+    for target in (goal, key_of("cake")):
         _retrieve_all(graph, kitchen, target)
     assert sys.getrefcount(graph) == before
     assert set(graph._derived) == set(DERIVATIONS)
@@ -897,7 +897,7 @@ def test_execution_order_diamond():
 
 def test_execution_order_empty():
     graph, _, goal = milk_setup()
-    kitchen = frozenset({goal.target})
+    kitchen = frozenset({goal})
     assert execution_order(graph, kitchen, set()) == ()
 
 

@@ -153,3 +153,31 @@ def test_no_module_keeps_an_unused_import():
         for path in sorted(PACKAGE.glob("*.py"))
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     } == {}
+
+
+def attribute_loads(source: str, name: str) -> list[str]:
+    """Lines of ``source`` that read an attribute called ``name``; a
+    definition, an assignment or a bare name of that spelling is no read."""
+    return [
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_scan_finds_attribute_loads():
+    source = (
+        "class Key:\n    @property\n    def target(self):\n        return self\n"
+        "def f(goal, target):\n    goal.target = target\n    return goal.target, getattr(goal, 'x')\n"
+    )
+    assert attribute_loads(source, "target") == ["target (line 7)"]
+
+
+def test_no_module_reads_a_key_as_its_target():
+    # ``ObjectKey.target`` is there only for the benchmark, which still reads
+    # a goal's ``target``; the package uses the key itself
+    assert {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := attribute_loads(path.read_text(encoding="utf-8"), "target"))
+    } == {}

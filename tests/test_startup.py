@@ -21,7 +21,7 @@ SRC = str(Path(foon.__file__).parent.parent)
 # the package's public names, as listed by hand before they were loaded lazily
 PUBLIC_NAMES = {
     "Algorithm", "CyclicResolution", "Decision", "DuplicateUnit", "FoonError", "FoonGraph",
-    "FunctionalUnit", "GoalSpec", "HeuristicId", "MergeResult", "ObjectKey",
+    "FunctionalUnit", "HeuristicId", "MergeResult", "ObjectKey",
     "ParseError", "ParseWarning", "SchemaError", "SearchStats", "TaskTree", "TooLarge",
     "UnresolvableGoal", "derivation_depths", "enumerate_resolutions", "execution_order",
     "heuristic_input_count", "merge_subgraphs", "minima",
