@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "core": (
-        "Algorithm", "Decision", "DuplicateUnit", "FoonError", "FoonGraph", "FunctionalUnit", "ObjectKey",
+        "Algorithm", "Decision", "FoonError", "FoonGraph", "FunctionalUnit", "ObjectKey",
         "SearchStats", "TaskTree", "validate_task_tree",
     ),
     "export": ("to_dot", "write_task_tree"),

@@ -52,8 +52,9 @@ CSV_ORACLE_COLUMNS = CSV_COLUMNS + ["minimal_units", "minimal_depth"]
 
 
 def _read(path: str) -> str:
+    """The text of the file at ``path``, without a leading byte order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise FoonError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -174,13 +175,19 @@ ALGO_TITLES = {"ids": "IDS", "gbfs1": "GBFS with heuristic 1", "gbfs2": "GBFS wi
 def _render_table(rows) -> str:
     by_goal = {}  # a goal listed twice gets one header over all its rows
     for row in rows:
-        units = row["units"] if row["resolved"] == "true" else "unresolvable"
-        by_goal.setdefault(row["goal"], []).append(f"  {ALGO_TITLES[row['algorithm']]:<24} {units:>26}")
+        by_goal.setdefault(row["goal"], []).append(row)
     lines = []
-    for goal, goal_lines in by_goal.items():
+    for goal, goal_rows in by_goal.items():
         lines.append(f"Goal: {goal}")
         lines.append(f"  {'Search Algorithm':<24} {'Number of Functional Units':>26}")
-        lines.extend(goal_lines)
+        for row in goal_rows:
+            units = row["units"] if row["resolved"] == "true" else "unresolvable"
+            lines.append(f"  {ALGO_TITLES[row['algorithm']]:<24} {units:>26}")
+        if "minimal_units" in goal_rows[0]:  # with --with-oracle
+            value = goal_rows[0]["minimal_units"]
+            if value == "":  # GBFS fails only on a goal the forward pass cannot derive
+                value = "skipped" if any(r["resolved"] == "true" for r in goal_rows) else "unresolvable"
+            lines.append(f"  {'Oracle (fewest units)':<24} {value:>26}")
         lines.append("")
     return "\n".join(lines)
 

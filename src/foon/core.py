@@ -19,7 +19,7 @@ constructors store their fields through ``_set``. The record types (decisions,
 stats, trees) are slotted classes that compare, hash, print and pickle by
 their field values.
 
-A graph derives its output index from its units and refuses duplicate units.
+A graph keeps the first of equal units and derives its output index from them.
 A key's producers are ``graph.output_index.get(key, ())``: the positions of
 the units whose outputs hold it, ascending, each unit once.
 
@@ -43,11 +43,6 @@ from typing import Iterable, Optional, Sequence
 
 class FoonError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class DuplicateUnit(FoonError):
-    """Two equal functional units were passed where a deduplicated list was
-    expected."""
 
 
 class Record:
@@ -239,22 +234,17 @@ class FoonGraph(Frozen):
     ``output_index`` is a read-only mapping, so it cannot disagree with
     ``units``.
 
-    It is built from its units alone: the constructor derives the index and
-    raises :class:`DuplicateUnit` on two equal units (deduplicate with
-    :func:`foon.merge.merge_subgraphs`), and a pickle or copy carries the
-    units and rebuilds the index. Unit positions in ``units`` are the stable
-    identifiers used everywhere else (task tree steps, decision logs, DOT
-    node ids).
+    It is built from its units alone: the constructor keeps the first of
+    equal units, timestamps included, and derives the index, and a pickle or
+    copy carries the units and rebuilds the index. Unit positions in
+    ``units`` are the stable identifiers used everywhere else (task tree
+    steps, decision logs, DOT node ids).
     """
 
     __slots__ = ("units", "output_index", "_derived")
 
     def __init__(self, units: Sequence[FunctionalUnit]):
-        units = tuple(units)
-        if len(set(units)) < len(units):  # one pass in C; only a repeat pays to find the first
-            seen = set()
-            pos = next(pos for pos, unit in enumerate(units) if unit in seen or seen.add(unit))
-            raise DuplicateUnit(f"unit {pos} duplicates an earlier unit: {units[pos]!r}")
+        units = tuple(dict.fromkeys(units))  # a dict keeps the first of equal keys
         index: dict[ObjectKey, list[int]] = {}
         for pos, unit in enumerate(units):
             for key in unit.outputs:

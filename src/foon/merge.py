@@ -22,12 +22,11 @@ class MergeResult(FrozenRecord):
 
 
 def merge_subgraphs(subgraphs: Iterable[Sequence[FunctionalUnit]]) -> MergeResult:
-    """Union subgraphs into one graph, first occurrence wins.
-
-    Units are concatenated in the given order; any unit equal to an
-    earlier-kept one is dropped, and the graph is built from the kept units,
-    deriving its own index. Duplicates across recipes are expected, not errors.
+    """Union subgraphs into one graph: their units concatenated in the
+    given order, built into a graph that keeps the first of equal units.
+    Duplicates across recipes are expected, not errors.
     """
     units = list(chain.from_iterable(subgraphs))
-    kept = list(dict.fromkeys(units))  # a dict keeps the first of equal keys
-    return MergeResult(index_outputs(kept), len(kept), len(units) - len(kept))
+    graph = index_outputs(units)
+    kept = len(graph)
+    return MergeResult(graph, kept, len(units) - kept)

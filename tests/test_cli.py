@@ -1,9 +1,11 @@
 import gc
 import importlib.util
+import errno
 import inspect
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,10 +18,10 @@ from hypothesis import strategies as st
 
 import foon
 from foon import oracle
-from foon.cli import _parser, main
-from foon.core import ObjectKey
+from foon.cli import _parse, _parser, _read, main
+from foon.core import FoonError, ObjectKey
 from foon.data import corpus_file, subgraph_paths
-from foon.parser import parse_goal_nodes, write_subgraph
+from foon.parser import parse_goal_nodes, parse_kitchen, parse_motion_rates, parse_subgraph, write_subgraph
 from helpers import CliRunner, build_graph, chain_graph, fan_graph, key_of
 
 
@@ -327,6 +329,33 @@ def test_desk_corpus_figures(runner, universal, corpus_paths, tmp_path):
         "greek salad{mixed}: unresolvable (depth-cap-exhausted)\n"
         "ice{solid}: 1 units -> ice_ids.foon.txt\n"
     )
+
+
+def test_compare_table_shows_the_oracle(runner, universal, corpus_paths, tmp_path):
+    # one oracle line per goal, after its algorithm lines
+    inputs = [universal, corpus_paths["kitchen.json"], corpus_paths["goal_nodes.json"]]
+    result = runner.invoke(main, ["compare", *inputs, "--with-oracle"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    oracle_lines = [line for line in result.stdout.splitlines() if "Oracle" in line]
+    assert oracle_lines == [f"  {'Oracle (fewest units)':<24} {units:>26}" for units in (3, 6, 1)]
+    assert result.stdout.splitlines()[2:7] == [
+        "  IDS                                               3",
+        "  GBFS with heuristic 1                             3",
+        "  GBFS with heuristic 2                             3",
+        "  Oracle (fewest units)                             3",
+        "",
+    ]
+    # a goal in the kitchen needs no unit; one the pass cannot derive shows as unresolvable
+    goals = tmp_path / "more_goals.json"
+    goals.write_text('[{"object": "sugar"}, {"object": "cake"}]')
+    result = runner.invoke(main, ["compare", *inputs[:2], str(goals), "--with-oracle"])
+    assert result.exit_code == 1
+    assert [line.split()[-1] for line in result.stdout.splitlines() if "Oracle" in line] == ["0", "unresolvable"]
+    # an oracle refusal shows as skipped and keeps its note
+    result = runner.invoke(main, ["compare", *_write_instance(tmp_path, *fan_graph(20)), "--with-oracle"])
+    assert result.exit_code == 0
+    assert [line.split()[-1] for line in result.stdout.splitlines() if "Oracle" in line] == ["skipped"]
+    assert result.stderr.count("g0: oracle skipped") == 1
 
 
 def test_compare_with_oracle_enumerates_once_per_goal(runner, universal, corpus_paths, monkeypatch):
@@ -1020,6 +1049,33 @@ def test_viz_non_utf8_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["viz", str(bad), "-o", str(tmp_path / "x.dot")])
     assert result.exit_code == 2
     assert "bad.foon.txt" in result.output
+
+
+@pytest.mark.parametrize(
+    "name, parse",
+    [("whipped_cream.foon.txt", parse_subgraph), ("kitchen.json", parse_kitchen),
+     ("goal_nodes.json", parse_goal_nodes), ("motion.txt", parse_motion_rates)],
+)
+def test_inputs_read_the_same_after_a_byte_order_mark(name, parse, tmp_path):
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + corpus_file(name).read_bytes())
+    assert _parse(parse, str(marked)) == _parse(parse, str(corpus_file(name)))
+
+
+def test_read_counts_bytes_from_the_start_of_the_file(tmp_path):
+    bad = tmp_path / "bad.foon.txt"
+    bad.write_bytes(b"\xef\xbb\xbfO\tcr\xe9me\n")  # the mark counts: utf-8-sig would say byte 4
+    with pytest.raises(FoonError, match=r"not UTF-8 \(byte 7\)$"):
+        _read(str(bad))
+
+
+def test_read_names_the_file_it_cannot_read(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(FoonError) as caught:
+        _read(str(missing))
+    assert str(caught.value) == f"cannot read {missing}: {os.strerror(errno.ENOENT)}"
+    with pytest.raises(FoonError, match=f"^cannot read {re.escape(str(tmp_path))}: .+"):
+        _read(str(tmp_path))  # a directory
 
 
 _VALID = {

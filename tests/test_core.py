@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from foon.core import (
     Algorithm,
     Decision,
-    DuplicateUnit,
     FoonGraph,
     FrozenRecord,
     FunctionalUnit,
@@ -128,14 +127,16 @@ def test_index_two_producers_ascending():
     assert graph.output_index.get(key_of("cream"), ()) == (0, 1)
 
 
-def test_index_rejects_duplicates():
-    u = unit(["milk"], "pour", ["cream"])
-    v, w = unit(["egg"], "beat", ["batter"]), unit(["ice"], "melt", ["water"])
-    with pytest.raises(DuplicateUnit):
-        FoonGraph([u, u])
-    # the error names the first unit that repeats an earlier one
-    with pytest.raises(DuplicateUnit, match=r"^unit 3 duplicates an earlier unit: <FunctionalUnit \[egg\]"):
-        FoonGraph([v, u, w, v, u, w])
+def test_index_keeps_the_first_of_equal_units():
+    u = unit(["milk"], "pour", ["cream"], ts=("0:01", "0:02"))
+    late = unit(["milk"], "pour", ["cream"], ts=("0:09", "0:10"))  # equal to u: timestamps do not count
+    v, w = unit(["egg"], "beat", ["batter"]), unit(["ice"], "melt", ["water", "cream"])
+    assert FoonGraph([u, u]).units == (u,)
+    graph = FoonGraph([v, u, w, v, late, w])
+    assert graph.units == (v, u, w)
+    assert graph.units[1] is u and graph.units[1].start_time == "0:01"
+    # positions in the index follow graph.units, not the list given
+    assert graph.output_index == {key_of("batter"): (0,), key_of("cream"): (1, 2), key_of("water"): (2,)}
 
 
 def reference_index(units):

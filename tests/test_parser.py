@@ -546,6 +546,10 @@ def test_object_files_need_an_array_of_named_objects(parse):
     with pytest.raises(SchemaError, match=r"^field 'object': must be a non-empty string in entry 0$") as err:
         parse('[{"object": 1}]')
     assert err.value.field == "object"
+    for text in ('[1]', '["milk"]'):
+        with pytest.raises(SchemaError, match=r"^field '\[0\]': expected an object$") as err:
+            parse(text)
+        assert err.value.field == "[0]"
 
 
 def test_parse_kitchen():
